@@ -21,15 +21,15 @@
 namespace rshc::riemann::detail {
 
 /// Rescale a velocity vector to |v| <= vmax (< 1), preserving direction.
+/// Selects, not a branch, so the batched face loops stay vectorizable.
 template <typename P>
 inline void cap_velocity(P& w, double vmax) {
   const double v2 = w.v_sq();
-  if (v2 >= vmax * vmax) {
-    const double scale = vmax / std::sqrt(v2);
-    w.vx *= scale;
-    w.vy *= scale;
-    w.vz *= scale;
-  }
+  const bool cap = v2 >= vmax * vmax;
+  const double scale = vmax / std::sqrt(v2);
+  w.vx = cap ? w.vx * scale : w.vx;
+  w.vy = cap ? w.vy * scale : w.vy;
+  w.vz = cap ? w.vz * scale : w.vz;
 }
 
 /// Sanitize a reconstructed face state before the Riemann solve: positivity
@@ -63,20 +63,35 @@ inline SrhdSide srhd_side(const srhd::Prim& w, int axis,
   return p;
 }
 
+/// Component-wise `c ? a : b`.
+inline srhd::Cons select(bool c, const srhd::Cons& a, const srhd::Cons& b) {
+  return {c ? a.d : b.d, c ? a.sx : b.sx, c ? a.sy : b.sy, c ? a.sz : b.sz,
+          c ? a.tau : b.tau};
+}
+
+// The SRHD solvers below are written branch-free: the upwind fluxes and the
+// intermediate-state flux are all computed, then picked by select. The
+// picked value is bit for bit what the early-return form gave (the
+// discarded candidates never feed it), and the batched face loops stay
+// vectorizable. The std::min/std::max chains fold left exactly like the
+// initializer-list overloads (same comparisons, same operand order, same
+// NaN behaviour).
+
 inline srhd::Cons llf(const SrhdSide& l, const SrhdSide& r) {
-  const double a =
-      std::max({std::abs(l.s.lambda_minus), std::abs(l.s.lambda_plus),
-                std::abs(r.s.lambda_minus), std::abs(r.s.lambda_plus)});
+  const double a = std::max(
+      std::max(std::max(std::abs(l.s.lambda_minus), std::abs(l.s.lambda_plus)),
+               std::abs(r.s.lambda_minus)),
+      std::abs(r.s.lambda_plus));
   return 0.5 * (l.f + r.f) + (-0.5 * a) * (r.u - l.u);
 }
 
 inline srhd::Cons hll(const SrhdSide& l, const SrhdSide& r) {
-  const double sl = std::min({0.0, l.s.lambda_minus, r.s.lambda_minus});
-  const double sr = std::max({0.0, l.s.lambda_plus, r.s.lambda_plus});
-  if (sl >= 0.0) return l.f;
-  if (sr <= 0.0) return r.f;
+  const double sl = std::min(std::min(0.0, l.s.lambda_minus), r.s.lambda_minus);
+  const double sr = std::max(std::max(0.0, l.s.lambda_plus), r.s.lambda_plus);
   const double inv = 1.0 / (sr - sl);
-  return inv * ((sr * l.f) + (-sl) * r.f + (sl * sr) * (r.u - l.u));
+  const srhd::Cons mid =
+      inv * ((sr * l.f) + (-sl) * r.f + (sl * sr) * (r.u - l.u));
+  return select(sl >= 0.0, l.f, select(sr <= 0.0, r.f, mid));
 }
 
 /// Mignone & Bodo (2005) HLLC. Works with the *total* energy E = tau + D
@@ -84,8 +99,6 @@ inline srhd::Cons hll(const SrhdSide& l, const SrhdSide& r) {
 inline srhd::Cons hllc(const SrhdSide& l, const SrhdSide& r, int axis) {
   const double sl = std::min(l.s.lambda_minus, r.s.lambda_minus);
   const double sr = std::max(l.s.lambda_plus, r.s.lambda_plus);
-  if (sl >= 0.0) return l.f;
-  if (sr <= 0.0) return r.f;
 
   // HLL-averaged state and flux of (E, m_n).
   const double inv = 1.0 / (sr - sl);
@@ -112,47 +125,55 @@ inline srhd::Cons hllc(const SrhdSide& l, const SrhdSide& r, int axis) {
 
   // Contact speed: the physical root of
   //   fE_h lam^2 - (E_h + fm_h) lam + m_h = 0.
-  double lam_star;
   const double a = fE_h;
   const double b = -(E_h + fm_h);
   const double c = m_h;
-  if (std::abs(a) > 1e-12 * std::max(std::abs(b), 1.0)) {
-    const double disc = std::max(0.0, b * b - 4.0 * a * c);
-    // Minus root (Mignone & Bodo 2005, eq. 18) is the causal one.
-    lam_star = (-b - std::sqrt(disc)) / (2.0 * a);
-  } else {
-    lam_star = -c / b;
-  }
-  lam_star = std::clamp(lam_star, sl, sr);
+  const bool quadratic = std::abs(a) > 1e-12 * std::max(std::abs(b), 1.0);
+  const double disc = std::max(0.0, b * b - 4.0 * a * c);
+  // Minus root (Mignone & Bodo 2005, eq. 18) is the causal one; a vanishing
+  // leading coefficient degenerates to the linear root.
+  const double lam_quadratic = (-b - std::sqrt(disc)) / (2.0 * a);
+  const double lam_linear = -c / b;
+  const double lam_star =
+      std::clamp(quadratic ? lam_quadratic : lam_linear, sl, sr);
 
   const double p_star = fm_h - fE_h * lam_star;
 
-  auto star_flux = [&](const SrhdSide& k, double sk) {
-    const double vk = k.w.v(axis);
-    const double Ek = k.u.tau + k.u.d;
-    const double fac = (sk - vk) / (sk - lam_star);
-    srhd::Cons star;
-    star.d = k.u.d * fac;
-    // Normal momentum gains the pressure jump; transverse just advect.
-    const double mk = k.u.s(axis);
-    const double m_star =
-        (mk * (sk - vk) + p_star - k.w.p) / (sk - lam_star);
-    star.sx = k.u.sx * fac;
-    star.sy = k.u.sy * fac;
-    star.sz = k.u.sz * fac;
-    switch (axis) {
-      case 0: star.sx = m_star; break;
-      case 1: star.sy = m_star; break;
-      default: star.sz = m_star; break;
-    }
-    const double E_star =
-        (Ek * (sk - vk) + p_star * lam_star - k.w.p * vk) / (sk - lam_star);
-    star.tau = E_star - star.d;
-    return k.f + sk * (star - k.u);
-  };
-
-  if (lam_star >= 0.0) return star_flux(l, sl);
-  return star_flux(r, sr);
+  // Star flux on the upwind side of the contact. The side's state is
+  // selected first, so one evaluation does exactly the arithmetic the
+  // chosen side alone would.
+  const bool left = lam_star >= 0.0;
+  const double sk = left ? sl : sr;
+  const double vk = left ? l.w.v(axis) : r.w.v(axis);
+  const double pk = left ? l.w.p : r.w.p;
+  const srhd::Cons uk = select(left, l.u, r.u);
+  const srhd::Cons fk = select(left, l.f, r.f);
+  const double Ek = uk.tau + uk.d;
+  const double fac = (sk - vk) / (sk - lam_star);
+  srhd::Cons star;
+  star.d = uk.d * fac;
+  // Normal momentum gains the pressure jump; transverse just advect.
+  const double mk = uk.s(axis);
+  const double m_star = (mk * (sk - vk) + p_star - pk) / (sk - lam_star);
+  star.sx = uk.sx * fac;
+  star.sy = uk.sy * fac;
+  star.sz = uk.sz * fac;
+  switch (axis) {
+    case 0:
+      star.sx = m_star;
+      break;
+    case 1:
+      star.sy = m_star;
+      break;
+    default:
+      star.sz = m_star;
+      break;
+  }
+  const double E_star =
+      (Ek * (sk - vk) + p_star * lam_star - pk * vk) / (sk - lam_star);
+  star.tau = E_star - star.d;
+  const srhd::Cons f_star = fk + sk * (star - uk);
+  return select(sl >= 0.0, l.f, select(sr <= 0.0, r.f, f_star));
 }
 
 /// SRMHD HLL with the exact upwind GLM coupling for (B_n, psi). The heavy

@@ -5,7 +5,9 @@
 // zone kernels, every kernel exists in two semantically identical variants
 // compiled in separate translation units:
 //   kernels::scalar — baseline flags (vectorization disabled)
-//   kernels::simd   — -O3 -march=native, fully inlined solver cores
+//   kernels::simd   — -O3 -march=native -fno-math-errno -fno-trapping-math;
+//                     the SRHD interface loop vectorizes (branch-free cores,
+//                     one interface per lane), the SRMHD loop stays scalar
 // Both carry -ffp-contract=off, so either variant is bitwise identical to
 // the per-interface solve_srhd / solve_srmhd_hll reference path.
 //

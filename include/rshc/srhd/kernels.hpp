@@ -3,8 +3,13 @@
 // heterogeneous device experiments (F5, F8). Every kernel exists in two
 // semantically identical variants compiled in separate translation units:
 //   kernels::scalar — baseline flags (vectorization disabled)
-//   kernels::simd   — -O3 -march=native, loops annotated for vectorization
-// The simulated accelerator runs the simd variants on its stream worker.
+//   kernels::simd   — -O3 -march=native -fno-math-errno -fno-trapping-math;
+//                     the loops vectorize, cons_to_prim_n included (a
+//                     lane-masked Newton solve over groups of 8 zones)
+// Both are bitwise identical to the per-zone functions (cons_to_prim,
+// max_signal_speed, ...): same IEEE operations in the same order, with
+// -ffp-contract=off. The simulated accelerator runs the simd variants on
+// its stream worker.
 
 #include <cstddef>
 

@@ -111,7 +111,9 @@ inline SignalSpeeds signal_speeds(const Prim& w, int axis,
   // lambda_pm = [ v_d (1-cs2) pm cs sqrt((1-v2)(1 - vd^2 - (v2-vd^2) cs2)) ]
   //             / (1 - v2 cs2)
   const double disc = (1.0 - v2) * (1.0 - vd * vd - (v2 - vd * vd) * cs2);
-  const double root = disc > 0.0 ? std::sqrt(disc) : 0.0;
+  // Clamp before the sqrt (a select, not a branch); sqrt(+0.0) keeps the
+  // old disc <= 0 result, and no -0.0 can reach it.
+  const double root = std::sqrt(disc > 0.0 ? disc : 0.0);
   const double cs = std::sqrt(cs2);
   SignalSpeeds s;
   s.lambda_minus = (vd * (1.0 - cs2) - cs * root) / denom;
@@ -127,8 +129,8 @@ inline double max_signal_speed(const Prim& w, const eos::IdealGas& eos,
     const double m =
         s.lambda_minus < 0.0 ? -s.lambda_minus : s.lambda_minus;
     const double pl = s.lambda_plus < 0.0 ? -s.lambda_plus : s.lambda_plus;
-    if (m > vmax) vmax = m;
-    if (pl > vmax) vmax = pl;
+    vmax = m > vmax ? m : vmax;
+    vmax = pl > vmax ? pl : vmax;
   }
   return vmax;
 }

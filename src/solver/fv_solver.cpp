@@ -36,13 +36,18 @@ HostPipeline parse_host_pipeline(std::string_view name) {
 namespace {
 // Heartbeat throughput: interior zone-updates per second over the step(s)
 // just taken (zones x RK stages x steps / elapsed), the "zones/sec" the
-// live telemetry reports and perf_report turns into MLUPS.
-double heartbeat_zone_rate(const mesh::Grid& g, int stages, long long nsteps,
-                           double seconds) {
+// live telemetry reports and perf_report turns into MLUPS. Zones are the
+// solver's own blocks, so a restricted (per-rank) solver reports its
+// rank's rate, not the global grid's.
+double heartbeat_zone_rate(const std::vector<mesh::Block>& blocks,
+                           int stages, long long nsteps, double seconds) {
   if (seconds <= 0.0) return 0.0;
-  const double zones = static_cast<double>(g.extent(0)) *
-                       static_cast<double>(g.extent(1)) *
-                       static_cast<double>(g.extent(2));
+  double zones = 0.0;
+  for (const auto& blk : blocks) {
+    zones += static_cast<double>(blk.interior(0)) *
+             static_cast<double>(blk.interior(1)) *
+             static_cast<double>(blk.interior(2));
+  }
   return zones * static_cast<double>(stages) *
          static_cast<double>(nsteps) / seconds;
 }
@@ -808,7 +813,7 @@ void FvSolver<Physics>::step(double dt) {
   ++steps_taken_;
 #if RSHC_OBS_ENABLED
   RSHC_OBS_HEARTBEAT(steps_taken_, time_, dt,
-                     heartbeat_zone_rate(grid_,
+                     heartbeat_zone_rate(blocks_,
                                          time::num_stages(opt_.integrator),
                                          1, hb_timer.seconds()));
 #endif
@@ -852,7 +857,7 @@ void FvSolver<Physics>::step_parallel(double dt, parallel::ThreadPool& pool,
   ++steps_taken_;
 #if RSHC_OBS_ENABLED
   RSHC_OBS_HEARTBEAT(steps_taken_, time_, dt,
-                     heartbeat_zone_rate(grid_,
+                     heartbeat_zone_rate(blocks_,
                                          time::num_stages(opt_.integrator),
                                          1, hb_timer.seconds()));
 #endif
@@ -979,7 +984,7 @@ void FvSolver<Physics>::run_steps_dataflow(int nsteps, double dt,
   // One heartbeat for the whole burst (there is no per-step boundary in
   // the fused graph); the rate still averages over every step taken.
   RSHC_OBS_HEARTBEAT(steps_taken_, time_, dt,
-                     heartbeat_zone_rate(grid_,
+                     heartbeat_zone_rate(blocks_,
                                          time::num_stages(opt_.integrator),
                                          nsteps, hb_timer.seconds()));
 #endif

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "rshc/check/check.hpp"
+#include "rshc/comm/communicator.hpp"
 #include "rshc/device/event.hpp"
 #include "rshc/obs/journal.hpp"
 #include "rshc/obs/obs.hpp"
@@ -22,6 +25,7 @@
 #include "rshc/parallel/task_graph.hpp"
 #include "rshc/parallel/thread_pool.hpp"
 #include "rshc/problems/problems.hpp"
+#include "rshc/solver/distributed.hpp"
 #include "rshc/solver/fv_solver.hpp"
 #include "support/json_mini.hpp"
 
@@ -210,6 +214,49 @@ TEST_F(Telemetry, ParallelStepsPublishHeartbeatToo) {
   // One heartbeat per step_parallel call, one per run_steps_dataflow burst.
   EXPECT_EQ(obs::telemetry::heartbeat_ticks() - ticks0, 3u);
   EXPECT_EQ(obs::telemetry::last_heartbeat().step, 5);
+}
+
+TEST_F(Telemetry, RestrictedSolverHeartbeatCountsOnlyItsRanksZones) {
+  // 2x2 ranks of a 48x48 grid: each rank's restricted solver steps a 24x24
+  // block. Its heartbeat rate must be that block's zone-updates over the
+  // step's own wall time, so rate x (externally timed step) / (rank zones x
+  // stages) is >= 1 (the external timer encloses the heartbeat's) and, on
+  // the fastest of a few steps, < 2 (the step dominates its bookkeeping).
+  // Counting the global grid instead would put it at >= 4, the rank count.
+  constexpr int kRanks = 4;
+  constexpr int kSteps = 5;
+  const mesh::Grid g = mesh::Grid::make_2d(48, 48, 0.0, 1.0, 0.0, 1.0);
+  solver::SrhdSolver::Options opt;
+  opt.recon = recon::Method::kPLMMC;
+  opt.bc = mesh::BoundarySpec::all(mesh::BcType::kPeriodic);
+  opt.physics.eos = eos::IdealGas(5.0 / 3.0);
+  const double zone_updates =
+      24.0 * 24.0 * time::num_stages(opt.integrator);
+
+  std::array<obs::Registry, kRanks> regs;
+  std::array<double, kRanks> min_ratio{};
+  comm::run_world(kRanks, [&](comm::Communicator& c) {
+    const auto r = static_cast<std::size_t>(c.rank());
+    obs::ScopedRegistry scope(regs[r]);
+    solver::DistributedSrhdSolver s(g, c, opt);
+    s.initialize(problems::kelvin_helmholtz_ic({}));
+    min_ratio[r] = 1e300;
+    for (int i = 0; i < kSteps; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      s.step(1e-3);
+      const double sec = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+      const double rate =
+          regs[r].snapshot().value_or("solver.hb.zones_per_sec");
+      min_ratio[r] = std::min(min_ratio[r], rate * sec / zone_updates);
+    }
+  });
+  for (int r = 0; r < kRanks; ++r) {
+    SCOPED_TRACE(::testing::Message() << "rank " << r);
+    EXPECT_GE(min_ratio[static_cast<std::size_t>(r)], 1.0 - 1e-9);
+    EXPECT_LT(min_ratio[static_cast<std::size_t>(r)], 2.0);
+  }
 }
 
 TEST_F(Telemetry, WatchdogDetectsSeededGraphStall) {

@@ -21,7 +21,11 @@ Exit codes (validate; the smallest failing class wins when several fail)
     2   structural/usage error (bad arguments, unreadable build dir)
     3   flag-recipe       a deterministic-core TU (srhd/srmhd kernels_*,
                           riemann faces_*, solver rhs_core) compiled
-                          without an effective -ffp-contract=off, or a
+                          without an effective -ffp-contract=off, or with
+                          a value-changing float flag in effect
+                          (-ffast-math and the flags it implies that can
+                          change a computed value; -fno-math-errno and
+                          -fno-trapping-math are allowed), or a
                           recipe pattern that no longer matches any TU
                           (a rename would otherwise silently drop the
                           bitwise-identity guarantee the device/SIMD
@@ -159,16 +163,51 @@ RECIPE_TUS = (
 
 def effective_fp_contract(args: list[str]) -> str:
     """Final fp-contract state after walking the flag list in order
-    (later flags win; -ffast-math turns contraction back on)."""
+    (later flags win; -ffast-math or -Ofast turns contraction back on)."""
     state = "default"
     for a in args:
         if a.startswith("-ffp-contract="):
             state = a.split("=", 1)[1]
-        elif a == "-ffast-math":
+        elif a in ("-ffast-math", "-Ofast"):
             state = "fast"
         elif a == "-fno-fast-math" and state == "fast":
             state = "default"
     return state
+
+
+# Float flags that let the compiler change a computed value (reassociate,
+# use reciprocals, assume no NaN/Inf or ignore the sign of zero), mapped to
+# the flag that turns each back off. -ffast-math implies all of them, and so
+# does -Ofast. -fno-math-errno and -fno-trapping-math stay allowed: they
+# drop errno writes and the assumption that FP operations trap, which
+# changes no result and lets the simd kernels if-convert and vectorize.
+VALUE_CHANGING_FLAGS = {
+    "-ffast-math": "-fno-fast-math",
+    "-funsafe-math-optimizations": "-fno-unsafe-math-optimizations",
+    "-ffinite-math-only": "-fno-finite-math-only",
+    "-fassociative-math": "-fno-associative-math",
+    "-freciprocal-math": "-fno-reciprocal-math",
+    "-fno-signed-zeros": "-fsigned-zeros",
+}
+VALUE_NEUTRAL_FLAGS = ("-fno-math-errno", "-fno-trapping-math")
+
+
+def value_changing_flags(args: list[str]) -> list[str]:
+    """Value-changing float flags still in effect after walking the flag
+    list in order (a later negation cancels an earlier flag, and
+    -fno-fast-math cancels everything -ffast-math implied)."""
+    on: list[str] = []
+    undo = {neg: flag for flag, neg in VALUE_CHANGING_FLAGS.items()}
+    for a in args:
+        flag = "-ffast-math" if a == "-Ofast" else a
+        if flag in VALUE_CHANGING_FLAGS:
+            if flag not in on:
+                on.append(flag)
+        elif flag == "-fno-fast-math":
+            on.clear()
+        elif flag in undo and undo[flag] in on:
+            on.remove(undo[flag])
+    return on
 
 
 def check_flag_recipe(db: list[dict]) -> list[Violation]:
@@ -197,6 +236,13 @@ def check_flag_recipe(db: list[dict]) -> list[Violation]:
                 f"deterministic-core TU compiles with fp-contract "
                 f"'{state}' (needs an effective -ffp-contract=off; see "
                 f"src/srhd/CMakeLists.txt for the recipe)"))
+        unsafe = value_changing_flags(args)
+        if unsafe:
+            violations.append(Violation(
+                "flag-recipe", rel,
+                f"deterministic-core TU compiles with value-changing float "
+                f"flag(s) {' '.join(unsafe)} (only "
+                f"{' and '.join(VALUE_NEUTRAL_FLAGS)} are allowed)"))
     for pat, count in matched.items():
         if count == 0:
             violations.append(Violation(
@@ -569,30 +615,45 @@ def selftest() -> int:
                             f"{EXIT_BY_RULE[rule]}, expected {exit_code}")
 
     # flag-recipe: kernels TU that lost the flag, faces TU where a later
-    # -ffast-math re-enables contraction, plus clean TUs covering the
-    # other patterns.
+    # -ffast-math re-enables contraction (and is itself value-changing),
+    # plus clean TUs covering the other patterns.
     gxx = "/usr/bin/c++ -O3 -march=native"
     db = [
         {"file": "/r/src/srhd/kernels_simd.cpp",
          "command": f"{gxx} -c kernels_simd.cpp"},                 # seeded
         {"file": "/r/src/riemann/faces_simd.cpp",
-         "command": f"{gxx} -ffp-contract=off -ffast-math -c f.cpp"},  # seeded
+         "command": f"{gxx} -ffp-contract=off -ffast-math -c f.cpp"},  # seeded x2
         {"file": "/r/src/srmhd/kernels_scalar.cpp",
          "command": f"{gxx} -ffp-contract=off -c k.cpp"},
         {"file": "/r/src/solver/rhs_core.cpp",
          "arguments": ["c++", "-ffp-contract=off", "-c", "rhs_core.cpp"]},
         {"file": "/r/src/solver/fv_solver.cpp",
-         "command": f"{gxx} -c fv_solver.cpp"},  # not a recipe TU: exempt
+         "command": f"{gxx} -ffast-math -c fv_solver.cpp"},  # not a recipe TU
     ]
-    expect("flag-recipe seeded", check_flag_recipe(db), "flag-recipe", 2, 3)
+    expect("flag-recipe seeded", check_flag_recipe(db), "flag-recipe", 3, 3)
     clean_db = [dict(e) for e in db]
     clean_db[0]["command"] += " -ffp-contract=off"
-    clean_db[1]["command"] = f"{gxx} -ffast-math -ffp-contract=off -c f.cpp"
+    clean_db[1]["command"] = (f"{gxx} -ffp-contract=off -fno-math-errno "
+                              f"-fno-trapping-math -c f.cpp")
     expect("flag-recipe clean", check_flag_recipe(clean_db),
            "flag-recipe", 0, 3)
     missing = [e for e in clean_db if "srmhd" not in e["file"]]
     expect("flag-recipe coverage", check_flag_recipe(missing),
            "flag-recipe", 1, 3)
+    # Each value-changing flag is rejected on its own (and -Ofast as the
+    # -ffast-math it implies), even with contraction pinned off again; a
+    # later negation cancels it.
+    for flag in (*VALUE_CHANGING_FLAGS, "-Ofast"):
+        seeded = [dict(e) for e in clean_db]
+        seeded[2]["command"] += f" {flag} -ffp-contract=off"
+        expect(f"flag-recipe {flag}", check_flag_recipe(seeded),
+               "flag-recipe", 1, 3)
+    for flag, neg in (*VALUE_CHANGING_FLAGS.items(),
+                      ("-funsafe-math-optimizations", "-fno-fast-math")):
+        cancelled = [dict(e) for e in clean_db]
+        cancelled[2]["command"] += f" {flag} {neg} -ffp-contract=off"
+        expect(f"flag-recipe {flag} {neg}", check_flag_recipe(cancelled),
+               "flag-recipe", 0, 3)
 
     # atomic-ordering: declared relaxed, used acquire (seeded); a wildcard
     # comment and a matching use stay clean; the function-local-static
