@@ -1,7 +1,7 @@
 // B1 — google-benchmark microbenchmarks of the hot per-zone kernels:
 // reconstruction variants, Riemann solvers, prim<->cons maps, the GLM
-// interface flux, the RK combination kernel, and the solver rhs phase
-// under the pencil vs batched host pipelines. The *Batch rows time each
+// interface flux, the RK combination kernel, and the solver's host rhs
+// phase. The *Batch rows time each
 // batched kernel's scalar and simd variant on the same row, which gives the
 // per-variant speed-up.
 
@@ -272,15 +272,13 @@ BENCHMARK(BM_ReconstructRows);
 
 void BM_SolverRhs(benchmark::State& state) {
   // Whole rhs phase (reconstruction + Riemann + flux differencing) on the
-  // 2D KH workload the perf suite tracks, per host pipeline.
-  const auto pipeline = static_cast<solver::HostPipeline>(state.range(0));
+  // 2D KH workload the perf suite tracks, on the host pipeline.
   const long long n = 64;
   const mesh::Grid grid = mesh::Grid::make_2d(n, n, -0.5, 0.5, -0.5, 0.5);
   solver::SrhdSolver::Options opt;
   opt.recon = recon::Method::kPLMMC;
   opt.bc = mesh::BoundarySpec::all(mesh::BcType::kPeriodic);
   opt.physics.eos = eos::IdealGas(4.0 / 3.0);
-  opt.pipeline = pipeline;
   solver::SrhdSolver s(grid, opt);
   s.initialize(problems::kelvin_helmholtz_ic({}));
   for (auto _ : state) {
@@ -289,12 +287,9 @@ void BM_SolverRhs(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           grid.num_cells());
-  state.SetLabel(std::string(solver::host_pipeline_name(pipeline)));
+  state.SetLabel(std::string(solver::host_pipeline_name(opt.pipeline)));
 }
-BENCHMARK(BM_SolverRhs)
-    ->Arg(static_cast<int>(solver::HostPipeline::kPencil))
-    ->Arg(static_cast<int>(solver::HostPipeline::kBatchedScalar))
-    ->Arg(static_cast<int>(solver::HostPipeline::kBatchedSimd));
+BENCHMARK(BM_SolverRhs);
 
 void BM_GlmInterfaceFlux(benchmark::State& state) {
   for (auto _ : state) {

@@ -6,10 +6,8 @@
 //     p50/p90/p99, not just a mean.
 //  2. Single-process SRHD Kelvin-Helmholtz run: exercises the instrumented
 //     solver phases (solver.phase.exchange / rhs / update / c2p / other)
-//     under the default batched host pipeline, then repeats the identical
-//     workload on the per-pencil reference path into "pencil."-prefixed
-//     rows — every report carries the batched-vs-pencil comparison
-//     (compare e.g. solver.phase.rhs against pencil.solver.phase.rhs).
+//     under the default host pipeline (RSHC_HOST_PIPELINE=device selects
+//     the resident device offload instead).
 //  3. Four-rank distributed KH run (run_world): each rank observes into
 //     its own Registry via report::RankScope, and the per-rank snapshots
 //     are merged into "dist."-prefixed rows with min/mean/max/imbalance
@@ -347,21 +345,6 @@ void run_solver(bool quick, solver::HostPipeline pipeline) {
   for (int i = 0; i < steps; ++i) s.step(s.compute_dt());
 }
 
-/// The same KH workload on the per-pencil reference pipeline, observed in
-/// a scoped registry so its phases do not mix with the batched run's, and
-/// reported as "pencil."-prefixed rows.
-std::vector<obs::report::PhaseStats> run_solver_pencil(bool quick) {
-  obs::Registry reg;
-  obs::Snapshot snap;
-  {
-    obs::ScopedRegistry scope(reg);
-    run_solver(quick, solver::HostPipeline::kPencil);
-    snap = reg.snapshot();
-  }
-  return obs::report::phases_from_ranks(
-      std::span<const obs::Snapshot>(&snap, 1), "pencil.");
-}
-
 /// Four-rank distributed KH run. Each rank thread installs a RankScope so
 /// its solver phases accumulate in its own registry; the caller merges the
 /// snapshots into rank-resolved "dist." rows.
@@ -545,7 +528,6 @@ int main(int argc, char** argv) {
       serve_env != nullptr && *serve_env != '\0' && serve_env[0] != '0';
 
   run_kernels(quick);
-  std::vector<obs::report::PhaseStats> pencil;
   std::vector<obs::report::PhaseStats> dist;
   if (!serve_only) {
     // Zone updates per KH step: interior zones x the 3 SSP-RK stages the
@@ -554,19 +536,18 @@ int main(int argc, char** argv) {
     run_f8_crossover(quick, /*kh_step_zones=*/3 * (quick ? 32LL * 32LL
                                                          : 64LL * 64LL));
     run_f6_overlap(quick);
-    // Primary solver run: the default batched pipeline, overridable via
-    // RSHC_HOST_PIPELINE (pencil | batched-scalar | batched-simd |
-    // device) so CI can emit one report per pipeline setting from the
-    // same binary — the device report (BENCH_perf_device.json) exercises
-    // the resident offload end-to-end, worker-thread kernel phases and
-    // transfer byte counters included.
+    // Primary solver run: the default host pipeline, overridable via
+    // RSHC_HOST_PIPELINE (batched-simd | device) so CI can emit one
+    // report per pipeline setting from the same binary — the device
+    // report (BENCH_perf_device.json) exercises the resident offload
+    // end-to-end, worker-thread kernel phases and transfer byte counters
+    // included.
     solver::HostPipeline pipeline = solver::SrhdSolver::Options{}.pipeline;
     const char* pipe_env = std::getenv("RSHC_HOST_PIPELINE");
     if (pipe_env != nullptr && *pipe_env != '\0') {
       pipeline = solver::parse_host_pipeline(pipe_env);
     }
     run_solver(quick, pipeline);
-    pencil = run_solver_pencil(quick);
     dist = run_distributed(quick);
   }
   std::vector<obs::report::PhaseStats> serve_phases = run_serve(quick);
@@ -591,7 +572,6 @@ int main(int argc, char** argv) {
 
   const obs::Snapshot snap = obs::Registry::global().snapshot();
   rep.phases = obs::report::phases_from_snapshot(snap);
-  rep.phases.insert(rep.phases.end(), pencil.begin(), pencil.end());
   rep.phases.insert(rep.phases.end(), dist.begin(), dist.end());
   rep.phases.insert(rep.phases.end(), serve_phases.begin(),
                     serve_phases.end());

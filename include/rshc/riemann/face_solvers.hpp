@@ -35,7 +35,7 @@ inline void cap_velocity(P& w, double vmax) {
 /// Sanitize a reconstructed face state before the Riemann solve: positivity
 /// floors on rho and p, |v| capped strictly below 1. The single definition
 /// both Physics::limit_face_state and the batched face kernels compile, so
-/// the two host pipelines limit with identical arithmetic.
+/// the per-interface and batched paths limit with identical arithmetic.
 template <typename P>
 inline void limit_face(P& w, double rho_floor, double p_floor) {
   w.rho = std::max(w.rho, rho_floor);

@@ -1,8 +1,8 @@
 #pragma once
 // rshc::serve job model (DESIGN.md system: simulation service). A JobSpec
-// is one scenario request — problem x physics x scheme x resolution x
-// pipeline — plus scheduling attributes (priority class, fixed step
-// budget) and optional validation/output requests. The service assigns a
+// is one scenario request — problem x physics x scheme x resolution —
+// plus scheduling attributes (priority class, fixed step budget) and
+// optional validation/output requests. The service assigns a
 // JobId at admission and reports progress through JobStatus / ServiceStats.
 
 #include <cstdint>
@@ -11,7 +11,6 @@
 
 #include "rshc/recon/reconstruct.hpp"
 #include "rshc/riemann/riemann.hpp"
-#include "rshc/solver/fv_solver.hpp"
 
 namespace rshc::serve {
 
@@ -52,7 +51,6 @@ struct JobSpec {
   Priority priority = Priority::kNormal;
   recon::Method recon = recon::Method::kPLMMC;
   riemann::Solver riemann = riemann::Solver::kHLLC;  ///< SRHD only
-  solver::HostPipeline pipeline = solver::HostPipeline::kBatchedSimd;
   double cfl = 0.4;
   /// Validation-class job: after the final step, compute the L1 density
   /// error against the shared exact-Riemann reference (RiemannCache).

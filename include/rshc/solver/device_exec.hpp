@@ -9,11 +9,12 @@
 // compute stream with device::Events, so one block's rhs/update kernels
 // run while the next block's halo upload is still in flight.
 //
-// The kernels launched here call the same compiled core::rhs_batched /
-// core::update_batched / core::max_wave_speed_batched instantiations as
-// the host batched pipelines (rhs_core.cpp, -ffp-contract=off recipe), so
-// HostPipeline::kDevice is bitwise identical to the pencil and batched
-// host paths by construction — pinned by tests/test_device_pipeline.cpp.
+// The kernels launched here call the same compiled core::rhs_batched_range
+// / core::update_batched / core::max_wave_speed_batched instantiations as
+// the host pipeline (rhs_core.cpp, -ffp-contract=off recipe), so
+// HostPipeline::kDevice is bitwise identical to kBatchedSimd by
+// construction — tests/test_device_pipeline.cpp pins both against the
+// per-pencil oracle in tests/support/pencil_reference.hpp.
 
 #include <functional>
 #include <memory>

@@ -41,29 +41,26 @@
 
 namespace rshc::solver {
 
-/// Execution strategy for the per-block hot loops (rhs, RK update,
-/// con2prim, CFL scan). All settings are bitwise identical; they
-/// reorganize data movement only, never arithmetic:
-///  - kPencil         per-pencil gather + per-zone state structs (the
-///                    reference path the other settings are checked
-///                    against)
-///  - kBatchedScalar  slab-wise plane reconstruction, tiled transpose
-///                    gathers, fused span loops; kernels::scalar TUs
-///  - kBatchedSimd    same layout, kernels::simd TUs (-O3, native arch)
-///  - kDevice         the batched cores launched as kernels on the
-///                    simulated accelerator (DeviceExec): per-block state
-///                    is device-resident across steps, only halo slabs
-///                    cross the H2D/D2H boundary, transfers overlap with
-///                    interior compute on a second stream
+/// Where the per-block hot loops (rhs, RK update, con2prim, CFL scan) run.
+/// Both settings execute the same compiled batched cores (rhs_core.hpp)
+/// and are bitwise identical to each other and to the per-pencil test
+/// oracle (tests/support/pencil_reference.hpp):
+///  - kBatchedSimd  on the host: slab-wise plane reconstruction, tiled
+///                  transpose gathers, fused span loops over the
+///                  vectorized kernels::simd TUs
+///  - kDevice       the same cores launched as kernels on the simulated
+///                  accelerator (DeviceExec): per-block state is
+///                  device-resident across steps, only halo slabs cross
+///                  the H2D/D2H boundary, transfers overlap with interior
+///                  compute on a second stream
 enum class HostPipeline {
-  kPencil,
-  kBatchedScalar,
   kBatchedSimd,
   kDevice,
 };
 
 [[nodiscard]] std::string_view host_pipeline_name(HostPipeline p);
-/// Parse "pencil", "batched-scalar", "batched-simd", "device".
+/// Parse "batched-simd" or "device"; anything else throws rshc::Error
+/// naming the value.
 [[nodiscard]] HostPipeline parse_host_pipeline(std::string_view name);
 
 template <typename Physics>
@@ -153,8 +150,8 @@ class FvSolver {
   void recover_all_prims();
 
   /// Evaluate the flux-divergence RHS for every block from the current
-  /// primitives (benchmark hook: isolates the rhs phase of the selected
-  /// pipeline without stepping).
+  /// primitives (benchmark hook: isolates the host rhs phase without
+  /// stepping).
   void compute_rhs_all();
 
   /// Per-phase wall-time breakdown, accumulated on the *serial* stepping
@@ -213,7 +210,7 @@ class FvSolver {
   void set_pipeline(HostPipeline p);
 
  private:
-  struct Scratch;  // per-block pencil + batched-tile work arrays
+  struct Scratch;  // per-block batched-tile work arrays
 
   [[nodiscard]] bool overlap_active() const {
     return static_cast<bool>(overlap_begin_) &&
@@ -221,22 +218,18 @@ class FvSolver {
            opt_.pipeline != HostPipeline::kDevice;
   }
   void exchange_block(int b);
+  /// Full-block RHS: compute_rhs_range over the interior, du zeroed first.
   void compute_rhs(int b);
-  void compute_rhs_pencil(int b);
-  void compute_rhs_batched(int b);
   /// Restricted-box RHS: accumulate only zones in [lo, hi); `zero_du`
   /// clears the whole accumulator first. Bitwise equal per zone to the
   /// full-range call (see core::rhs_batched_range).
   void compute_rhs_range(int b, const std::array<int, 3>& lo,
                          const std::array<int, 3>& hi, bool zero_du);
-  void compute_rhs_pencil_range(int b, const std::array<int, 3>& lo,
-                                const std::array<int, 3>& hi);
   /// Interior-first RHS for the overlapped exchange: interior box while
   /// messages fly, then boundary boxes as overlap_finish_ reports faces.
   void compute_rhs_overlapped(int b);
+  /// RK stage combination + con2prim over the block interior.
   void update_block(int b, time::StageCoeffs coeffs, double dt);
-  void update_block_pencil(int b, time::StageCoeffs coeffs, double dt);
-  void update_block_batched(int b, time::StageCoeffs coeffs, double dt);
   void save_state();
   void post_step_all();
   void stage_serial(int stage, double dt);

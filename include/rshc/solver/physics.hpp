@@ -260,7 +260,7 @@ struct SrmhdPhysics {
 
 /// y[i] = (a*x[i] + b*y[i]) + c*z[i] over n entries — the RK stage
 /// combination as a physics-agnostic span kernel. `simd` selects the
-/// kernel translation unit; both variants keep the pencil path's
+/// kernel translation unit; both variants keep the per-pencil reference's
 /// left-associated expression shape, so the result is bitwise identical.
 void rk_combine_n(bool simd, std::size_t n, double a, const double* x,
                   double b, double* y, double c, const double* z);

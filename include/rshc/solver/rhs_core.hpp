@@ -1,16 +1,19 @@
 #pragma once
 // Shared batched solver cores (DESIGN.md systems #4/#12): the slab-wise
 // rhs, RK update / con2prim, CFL scan, and post-step bodies extracted from
-// FvSolver so the host batched pipelines and the device-offload pipeline
-// execute the *same compiled code*. The functions take raw SoA slab
-// pointers plus a BlockShape instead of mesh types, because the device
-// path runs them against flat arena buffers that are not FieldArrays.
+// FvSolver so the host pipeline and the device-offload pipeline execute
+// the *same compiled code*. The functions take raw SoA slab pointers plus
+// a BlockShape instead of mesh types, because the device path runs them
+// against flat arena buffers that are not FieldArrays. They call the
+// vectorized kernels::simd variants of the batched physics kernels.
 //
 // Every template is defined in src/solver/rhs_core.cpp and explicitly
 // instantiated there, compiled under the kernel-TU recipe
 // (-ffp-contract=off, no reassociation): one machine-code copy per
-// physics, shared by every pipeline — bitwise identity by construction,
-// pinned by test_rhs_pipeline and test_device_pipeline.
+// physics, shared by both pipelines — bitwise identity by construction.
+// test_rhs_pipeline and test_device_pipeline pin both against the
+// per-pencil oracle in tests/support/pencil_reference.hpp, which is built
+// from the per-interface and per-zone physics functions.
 
 #include <array>
 #include <cstddef>
@@ -78,49 +81,40 @@ struct BatchScratch {
   }
 };
 
-/// Batched rhs: zero `du`, then accumulate flux differences for every
-/// active axis. `w` / `du` are flat SoA bases laid out per `sh`. `simd`
-/// selects the kernel TU; `block_id` is zone provenance for the checkers.
-/// Identical arithmetic to FvSolver's pencil path — see the comment on the
-/// definition for how the tile staging preserves the expression shapes.
-template <typename Physics>
-void rhs_batched(const BlockShape& sh, const typename Physics::Context& ctx,
-                 recon::PencilKernel recon_fn, bool simd, const double* w,
-                 double* du, BatchScratch<Physics>& s, int block_id);
-
-/// Zone-range-restricted batched rhs (the interior/boundary split the
-/// overlapped distributed step uses): accumulate flux differences only for
-/// zones in the box [lo, hi) (interior coordinates; lo/hi must lie within
-/// [sh.begin, sh.end]). Reconstruction runs on sub-pencil windows padded
-/// by the stencil radius, so every zone in the box receives *bitwise* the
-/// per-axis contributions the full-range call would give it — callers may
-/// partition the interior into disjoint boxes and invoke this per box in
-/// any order. `zero_du` zeroes the whole du array first (exactly one box
-/// of a partition must pass true, before any other box runs).
-/// rhs_batched is this call with [sh.begin, sh.end) and zero_du = true.
+/// Batched rhs over a zone box: accumulate flux differences for every
+/// active axis, only for zones in the box [lo, hi) (interior coordinates;
+/// lo/hi must lie within [sh.begin, sh.end]). `w` / `du` are flat SoA
+/// bases laid out per `sh`; `block_id` is zone provenance for the
+/// checkers. Reconstruction runs on sub-pencil windows padded by the
+/// stencil radius, so every zone in the box receives *bitwise* the
+/// per-axis contributions the full-block call would give it — callers may
+/// partition the interior into disjoint boxes (the overlapped distributed
+/// step's interior/boundary split) and invoke this per box in any order.
+/// `zero_du` zeroes the whole du array first (exactly one box of a
+/// partition must pass true, before any other box runs). The full-block
+/// rhs is the call with [sh.begin, sh.end) and zero_du = true.
 template <typename Physics>
 void rhs_batched_range(const BlockShape& sh,
                        const typename Physics::Context& ctx,
-                       recon::PencilKernel recon_fn, bool simd,
-                       const double* w, double* du, BatchScratch<Physics>& s,
-                       int block_id, const std::array<int, 3>& lo,
+                       recon::PencilKernel recon_fn, const double* w,
+                       double* du, BatchScratch<Physics>& s, int block_id,
+                       const std::array<int, 3>& lo,
                        const std::array<int, 3>& hi, bool zero_du);
 
 /// Batched RK stage: u = (ca*u0 + cb*u) + cdt*du over the interior, then
 /// primitive recovery u -> w through the batched con2prim kernels.
 template <typename Physics>
 void update_batched(const BlockShape& sh, const typename Physics::Context& ctx,
-                    bool simd, double ca, double cb, double cdt,
-                    const double* u0, const double* du, double* u, double* w,
-                    C2PStats& stats, int block_id);
+                    double ca, double cb, double cdt, const double* u0,
+                    const double* du, double* u, double* w, C2PStats& stats,
+                    int block_id);
 
 /// Interior max signal speed (slab-wise scan; `speed` is resized to one
 /// row). Seeded with 1e-30 like FvSolver::compute_dt.
 template <typename Physics>
-[[nodiscard]] double max_wave_speed_batched(const BlockShape& sh,
-                                            const typename Physics::Context& ctx,
-                                            bool simd, const double* w,
-                                            std::vector<double>& speed);
+[[nodiscard]] double max_wave_speed_batched(
+    const BlockShape& sh, const typename Physics::Context& ctx,
+    const double* w, std::vector<double>& speed);
 
 /// Slab-pointer variant of Physics::post_step over whole (ghosted) arrays:
 /// GLM psi damping for SRMHD, no-op for SRHD.

@@ -6,8 +6,8 @@
 //   kernels::simd   — -O3 (-march=native), loops annotated for vectorization
 // The branch-heavy per-zone work (1D-W Newton c2p, fast-speed bound) lives
 // in src/srmhd/{con2prim,state}.cpp compiled once with default flags, so
-// both variants — and the per-zone pencil path — are bitwise identical by
-// construction; the batched win is data movement, not arithmetic.
+// both variants and the per-zone physics functions are bitwise identical
+// by construction; the batched win is data movement, not arithmetic.
 
 #include <cstddef>
 

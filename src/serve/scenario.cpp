@@ -121,7 +121,6 @@ std::unique_ptr<ScenarioEngine> make_srhd_engine(const JobSpec& spec,
   Options opt;
   opt.recon = spec.recon;
   opt.cfl = spec.cfl;
-  opt.pipeline = spec.pipeline;
   opt.bc = mesh::BoundarySpec::all(e.bc);
   opt.physics.riemann = spec.riemann;
 
@@ -157,7 +156,6 @@ std::unique_ptr<ScenarioEngine> make_srmhd_engine(const JobSpec& spec,
   Options opt;
   opt.recon = spec.recon;
   opt.cfl = spec.cfl;
-  opt.pipeline = spec.pipeline;
   opt.bc = mesh::BoundarySpec::all(e.bc);
 
   problems::SrmhdIc ic;

@@ -214,16 +214,16 @@ void DeviceExec<Physics>::stage(double ca, double cb, double cdt,
         a->ghost_len, compute_);
     dev_->launch(
         [this, a, b] {
-          core::rhs_batched<Physics>(a->shape, ctx_, recon_fn_, /*simd=*/true,
-                                     a->prim.device_view().data(),
-                                     a->du.device_view().data(), a->scratch,
-                                     static_cast<int>(b));
+          core::rhs_batched_range<Physics>(
+              a->shape, ctx_, recon_fn_, a->prim.device_view().data(),
+              a->du.device_view().data(), a->scratch, static_cast<int>(b),
+              a->shape.begin, a->shape.end, /*zero_du=*/true);
         },
         a->cells, compute_);
     dev_->launch(
         [this, a, b, ca, cb, cdt, ps = &stats[b]] {
           core::update_batched<Physics>(
-              a->shape, ctx_, /*simd=*/true, ca, cb, cdt,
+              a->shape, ctx_, ca, cb, cdt,
               a->u0.device_view().data(), a->du.device_view().data(),
               a->cons.device_view().data(), a->prim.device_view().data(), *ps,
               static_cast<int>(b));
@@ -254,8 +254,7 @@ double DeviceExec<Physics>::max_wave_speed() {
     last = dev_->launch(
         [this, a, b] {
           vmax_dev_.device_view()[b] = core::max_wave_speed_batched<Physics>(
-              a->shape, ctx_, /*simd=*/true, a->prim.device_view().data(),
-              a->speed);
+              a->shape, ctx_, a->prim.device_view().data(), a->speed);
         },
         a->cells, compute_);
   }

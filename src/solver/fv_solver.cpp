@@ -12,8 +12,6 @@ namespace rshc::solver {
 
 std::string_view host_pipeline_name(HostPipeline p) {
   switch (p) {
-    case HostPipeline::kPencil: return "pencil";
-    case HostPipeline::kBatchedScalar: return "batched-scalar";
     case HostPipeline::kBatchedSimd: return "batched-simd";
     case HostPipeline::kDevice: return "device";
   }
@@ -21,15 +19,11 @@ std::string_view host_pipeline_name(HostPipeline p) {
 }
 
 HostPipeline parse_host_pipeline(std::string_view name) {
-  if (name == "pencil") return HostPipeline::kPencil;
-  if (name == "batched-scalar") return HostPipeline::kBatchedScalar;
-  if (name == "batched-simd" || name == "batched") {
-    return HostPipeline::kBatchedSimd;
-  }
+  if (name == "batched-simd") return HostPipeline::kBatchedSimd;
   if (name == "device") return HostPipeline::kDevice;
-  RSHC_REQUIRE(false,
-               std::string("unknown host pipeline: ") + std::string(name));
-  return HostPipeline::kPencil;  // unreachable
+  RSHC_REQUIRE(false, "unknown host pipeline '" + std::string(name) +
+                          "' (expected batched-simd or device)");
+  return HostPipeline::kBatchedSimd;  // unreachable
 }
 
 #if RSHC_OBS_ENABLED
@@ -54,16 +48,12 @@ double heartbeat_zone_rate(const std::vector<mesh::Block>& blocks,
 }  // namespace
 #endif
 
-// Per-block work arrays, sized once for the longest axis. The pencil path
-// uses the single-pencil q/ql/qr; the batched path reconstructs
-// core::kTileRows pencils per call through the shared BatchScratch tiles
-// (rhs_core.hpp), which the device pipeline allocates per arena as well.
+// Per-block work arrays, sized once for the longest axis: the rhs
+// reconstructs core::kTileRows pencils per call through the shared
+// BatchScratch tiles (rhs_core.hpp), which the device pipeline allocates
+// per arena as well.
 template <typename Physics>
 struct FvSolver<Physics>::Scratch {
-  // q/ql/qr: [var][pencil index]
-  std::array<std::vector<double>, Physics::kNumPrim> q;
-  std::array<std::vector<double>, Physics::kNumPrim> ql;
-  std::array<std::vector<double>, Physics::kNumPrim> qr;
   core::BatchScratch<Physics> batch;
 
   // Sub-millisecond remainder of overlap-hidden time, carried across
@@ -71,14 +61,7 @@ struct FvSolver<Physics>::Scratch {
   // total (per block — Scratch is per block, so graph workers never race).
   double hidden_ms_acc = 0.0;
 
-  explicit Scratch(int max_extent) : batch(max_extent) {
-    const auto plen = static_cast<std::size_t>(max_extent);
-    for (int v = 0; v < Physics::kNumPrim; ++v) {
-      q[v].resize(plen);
-      ql[v].resize(plen);
-      qr[v].resize(plen);
-    }
-  }
+  explicit Scratch(int max_extent) : batch(max_extent) {}
 };
 
 template <typename Physics>
@@ -193,209 +176,15 @@ void FvSolver<Physics>::fill_all_ghosts() {
   for (int b = 0; b < num_blocks(); ++b) exchange_block(b);
 }
 
+// Full-block rhs: the restricted call over the whole interior, so one
+// compiled core body (core::rhs_batched_range) serves this, every box of
+// the overlapped interior/boundary split, and the device rhs kernel.
 template <typename Physics>
 void FvSolver<Physics>::compute_rhs(int b) {
   RSHC_OBS_PHASE("solver.phase.rhs", "solver", b);
-  if (opt_.pipeline == HostPipeline::kPencil) {
-    compute_rhs_pencil(b);
-  } else {
-    compute_rhs_batched(b);
-  }
-}
-
-template <typename Physics>
-void FvSolver<Physics>::compute_rhs_pencil(int b) {
-  mesh::Block& blk = blocks_[static_cast<std::size_t>(b)];
-  mesh::FieldArray& du = du_[static_cast<std::size_t>(b)];
-  Scratch& s = *scratch_[static_cast<std::size_t>(b)];
-  du.fill(0.0);
-
-  const auto& w = blk.prim();
-  for (int axis = 0; axis < grid_.ndim(); ++axis) {
-    const double inv_dx = 1.0 / grid_.dx(axis);
-    const int n = blk.total(axis);
-    // Transverse axes (interior ranges only; corners are never needed).
-    int a1 = -1;
-    int a2 = -1;
-    for (int a = 0; a < 3; ++a) {
-      if (a == axis) continue;
-      (a1 < 0 ? a1 : a2) = a;
-    }
-
-    for (int t2 = blk.begin(a2); t2 < blk.end(a2); ++t2) {
-      for (int t1 = blk.begin(a1); t1 < blk.end(a1); ++t1) {
-        auto local = [&](int f) {
-          int idx[3];
-          idx[axis] = f;
-          idx[a1] = t1;
-          idx[a2] = t2;
-          return std::array<int, 3>{idx[0], idx[1], idx[2]};  // (i, j, k)
-        };
-
-        // Load the pencil and reconstruct every primitive variable.
-        for (int v = 0; v < Physics::kNumPrim; ++v) {
-          for (int f = 0; f < n; ++f) {
-            const auto c = local(f);
-            s.q[v][static_cast<std::size_t>(f)] = w(v, c[2], c[1], c[0]);
-          }
-          recon::reconstruct(opt_.recon,
-                             {s.q[v].data(), static_cast<std::size_t>(n)},
-                             {s.ql[v].data(), static_cast<std::size_t>(n)},
-                             {s.qr[v].data(), static_cast<std::size_t>(n)});
-        }
-
-        // Interfaces f+1/2 for f in [begin-1, end-1]: left state is the
-        // right face of cell f, right state the left face of cell f+1.
-        double comp[Physics::kNumPrim];
-        for (int f = blk.begin(axis) - 1; f < blk.end(axis); ++f) {
-          for (int v = 0; v < Physics::kNumPrim; ++v) {
-            comp[v] = s.qr[v][static_cast<std::size_t>(f)];
-          }
-          Prim wl = Physics::prim_from_components(comp);
-          for (int v = 0; v < Physics::kNumPrim; ++v) {
-            comp[v] = s.ql[v][static_cast<std::size_t>(f) + 1];
-          }
-          Prim wr = Physics::prim_from_components(comp);
-          Physics::limit_face_state(wl, opt_.physics);
-          Physics::limit_face_state(wr, opt_.physics);
-
-          const Cons flux =
-              Physics::interface_flux(wl, wr, axis, opt_.physics);
-#if RSHC_CHECKS_ENABLED
-          {
-            // Face states leave limit_face_state physical by construction;
-            // a violation here means the limiter or reconstruction broke.
-            // A non-finite flux poisons two zones silently — catch it at
-            // the interface where the offending states are still in hand.
-            const auto cf = local(f);
-            RSHC_CHECK_PRIM("flux", wl, b, cf[0], cf[1], cf[2]);
-            RSHC_CHECK_PRIM("flux", wr, b, cf[0], cf[1], cf[2]);
-            RSHC_CHECK_CONS("flux", flux, b, cf[0], cf[1], cf[2]);
-          }
-#endif
-
-          if (f >= blk.begin(axis)) {
-            const auto c = local(f);
-            Cons acc = Physics::load_cons(du, c[2], c[1], c[0]);
-            acc += (-inv_dx) * flux;
-            Physics::store_cons(du, c[2], c[1], c[0], acc);
-          }
-          if (f + 1 < blk.end(axis)) {
-            const auto c = local(f + 1);
-            Cons acc = Physics::load_cons(du, c[2], c[1], c[0]);
-            acc += inv_dx * flux;
-            Physics::store_cons(du, c[2], c[1], c[0], acc);
-          }
-        }
-      }
-    }
-  }
-}
-
-// Range-restricted pencil rhs: same arithmetic as compute_rhs_pencil, but
-// only zones in [lo, hi) accumulate. Reconstruction runs on sub-pencil
-// windows padded by the stencil radius, so every face value a zone in the
-// box reads is computed from exactly the cells the full pencil would use —
-// bitwise identical per zone (the kernels are fixed-radius pointwise
-// stencils; see rhs_core.cpp for the same argument on the batched side).
-// The caller zeroes du; disjoint boxes may run in any order.
-template <typename Physics>
-void FvSolver<Physics>::compute_rhs_pencil_range(int b,
-                                                 const std::array<int, 3>& lo,
-                                                 const std::array<int, 3>& hi) {
-  for (int a = 0; a < 3; ++a) {
-    if (lo[a] >= hi[a]) return;  // empty box
-  }
-  mesh::Block& blk = blocks_[static_cast<std::size_t>(b)];
-  mesh::FieldArray& du = du_[static_cast<std::size_t>(b)];
-  Scratch& s = *scratch_[static_cast<std::size_t>(b)];
-
-  const auto& w = blk.prim();
-  for (int axis = 0; axis < grid_.ndim(); ++axis) {
-    const double inv_dx = 1.0 / grid_.dx(axis);
-    int a1 = -1;
-    int a2 = -1;
-    for (int a = 0; a < 3; ++a) {
-      if (a == axis) continue;
-      (a1 < 0 ? a1 : a2) = a;
-    }
-
-    const int fb = lo[axis];
-    const int fe = hi[axis];
-    // Window [ws, we): the cells the stencils of faces f-1/2 .. f+1/2 for
-    // f in [fb, fe) actually read. fb >= begin = ng and radius = ng - 1,
-    // so the window never leaves the ghosted pencil.
-    const int radius = blk.begin(axis) - 1;
-    const int ws = fb - 1 - radius;
-    const int we = fe + 1 + radius;
-    const auto uws = static_cast<std::size_t>(ws);
-    const auto nwin = static_cast<std::size_t>(we - ws);
-
-    for (int t2 = lo[a2]; t2 < hi[a2]; ++t2) {
-      for (int t1 = lo[a1]; t1 < hi[a1]; ++t1) {
-        auto local = [&](int f) {
-          int idx[3];
-          idx[axis] = f;
-          idx[a1] = t1;
-          idx[a2] = t2;
-          return std::array<int, 3>{idx[0], idx[1], idx[2]};  // (i, j, k)
-        };
-
-        // Load the window and reconstruct at absolute pencil offsets, so
-        // the interface loop below indexes ql/qr exactly like the
-        // full-pencil path does.
-        for (int v = 0; v < Physics::kNumPrim; ++v) {
-          for (int f = ws; f < we; ++f) {
-            const auto c = local(f);
-            s.q[v][static_cast<std::size_t>(f)] = w(v, c[2], c[1], c[0]);
-          }
-          recon::reconstruct(opt_.recon, {s.q[v].data() + uws, nwin},
-                             {s.ql[v].data() + uws, nwin},
-                             {s.qr[v].data() + uws, nwin});
-        }
-
-        // Interfaces f+1/2 for f in [fb-1, fe-1]; the box owns exactly the
-        // zones in [fb, fe), so the accumulation guards clip to the box.
-        double comp[Physics::kNumPrim];
-        for (int f = fb - 1; f < fe; ++f) {
-          for (int v = 0; v < Physics::kNumPrim; ++v) {
-            comp[v] = s.qr[v][static_cast<std::size_t>(f)];
-          }
-          Prim wl = Physics::prim_from_components(comp);
-          for (int v = 0; v < Physics::kNumPrim; ++v) {
-            comp[v] = s.ql[v][static_cast<std::size_t>(f) + 1];
-          }
-          Prim wr = Physics::prim_from_components(comp);
-          Physics::limit_face_state(wl, opt_.physics);
-          Physics::limit_face_state(wr, opt_.physics);
-
-          const Cons flux =
-              Physics::interface_flux(wl, wr, axis, opt_.physics);
-#if RSHC_CHECKS_ENABLED
-          {
-            const auto cf = local(f);
-            RSHC_CHECK_PRIM("flux", wl, b, cf[0], cf[1], cf[2]);
-            RSHC_CHECK_PRIM("flux", wr, b, cf[0], cf[1], cf[2]);
-            RSHC_CHECK_CONS("flux", flux, b, cf[0], cf[1], cf[2]);
-          }
-#endif
-
-          if (f >= fb) {
-            const auto c = local(f);
-            Cons acc = Physics::load_cons(du, c[2], c[1], c[0]);
-            acc += (-inv_dx) * flux;
-            Physics::store_cons(du, c[2], c[1], c[0], acc);
-          }
-          if (f + 1 < fe) {
-            const auto c = local(f + 1);
-            Cons acc = Physics::load_cons(du, c[2], c[1], c[0]);
-            acc += inv_dx * flux;
-            Physics::store_cons(du, c[2], c[1], c[0], acc);
-          }
-        }
-      }
-    }
-  }
+  const mesh::Block& blk = blocks_[static_cast<std::size_t>(b)];
+  compute_rhs_range(b, {blk.begin(0), blk.begin(1), blk.begin(2)},
+                    {blk.end(0), blk.end(1), blk.end(2)}, /*zero_du=*/true);
 }
 
 template <typename Physics>
@@ -403,17 +192,10 @@ void FvSolver<Physics>::compute_rhs_range(int b, const std::array<int, 3>& lo,
                                           const std::array<int, 3>& hi,
                                           bool zero_du) {
   mesh::Block& blk = blocks_[static_cast<std::size_t>(b)];
-  mesh::FieldArray& du = du_[static_cast<std::size_t>(b)];
-  if (opt_.pipeline == HostPipeline::kPencil) {
-    if (zero_du) du.fill(0.0);
-    compute_rhs_pencil_range(b, lo, hi);
-  } else {
-    core::rhs_batched_range<Physics>(
-        core::shape_of(blk, grid_), opt_.physics, recon_fn_,
-        opt_.pipeline != HostPipeline::kBatchedScalar,
-        blk.prim().flat().data(), du.flat().data(),
-        scratch_[static_cast<std::size_t>(b)]->batch, b, lo, hi, zero_du);
-  }
+  core::rhs_batched_range<Physics>(
+      core::shape_of(blk, grid_), opt_.physics, recon_fn_,
+      blk.prim().flat().data(), du_[static_cast<std::size_t>(b)].flat().data(),
+      scratch_[static_cast<std::size_t>(b)]->batch, b, lo, hi, zero_du);
 }
 
 // Interior-first rhs for the latency-hiding exchange. The deep interior
@@ -532,99 +314,23 @@ void FvSolver<Physics>::compute_rhs_overlapped(int b) {
   }
 }
 
-// Batched rhs: delegates to the shared core::rhs_batched instantiation —
-// the same compiled body the device pipeline launches as its rhs kernel.
-// See rhs_core.cpp for how the tile staging preserves the pencil path's
-// arithmetic (the two pipelines are bitwise identical).
-template <typename Physics>
-void FvSolver<Physics>::compute_rhs_batched(int b) {
-  mesh::Block& blk = blocks_[static_cast<std::size_t>(b)];
-  mesh::FieldArray& du = du_[static_cast<std::size_t>(b)];
-  core::rhs_batched<Physics>(core::shape_of(blk, grid_), opt_.physics,
-                             recon_fn_,
-                             opt_.pipeline != HostPipeline::kBatchedScalar,
-                             blk.prim().flat().data(), du.flat().data(),
-                             scratch_[static_cast<std::size_t>(b)]->batch, b);
-}
-
 template <typename Physics>
 void FvSolver<Physics>::compute_rhs_all() {
   for (int b = 0; b < num_blocks(); ++b) compute_rhs(b);
 }
 
+// RK stage: the shared core::update_batched instantiation (rk_combine_n
+// span loops + batched con2prim) — the same compiled body the device
+// pipeline launches as its update kernel.
 template <typename Physics>
 void FvSolver<Physics>::update_block(int b, time::StageCoeffs coeffs,
                                      double dt) {
-  if (opt_.pipeline == HostPipeline::kPencil) {
-    update_block_pencil(b, coeffs, dt);
-  } else {
-    update_block_batched(b, coeffs, dt);
-  }
-}
-
-template <typename Physics>
-void FvSolver<Physics>::update_block_pencil(int b, time::StageCoeffs coeffs,
-                                            double dt) {
   mesh::Block& blk = blocks_[static_cast<std::size_t>(b)];
-  const mesh::FieldArray& u0 = u0_[static_cast<std::size_t>(b)];
-  const mesh::FieldArray& du = du_[static_cast<std::size_t>(b)];
-  auto& u = blk.cons();
-  auto& w = blk.prim();
-  {
-    // RK convex combination into the conservative field.
-    RSHC_OBS_PHASE("solver.phase.update", "solver", b);
-    for (int k = blk.begin(2); k < blk.end(2); ++k) {
-      for (int j = blk.begin(1); j < blk.end(1); ++j) {
-        for (int i = blk.begin(0); i < blk.end(0); ++i) {
-          const Cons ref = Physics::load_cons(u0, k, j, i);
-          const Cons cur = Physics::load_cons(u, k, j, i);
-          const Cons rhs = Physics::load_cons(du, k, j, i);
-          const Cons next =
-              coeffs.a * ref + coeffs.b * cur + (coeffs.c * dt) * rhs;
-          Physics::store_cons(u, k, j, i, next);
-        }
-      }
-    }
-  }
-  C2PStats stats;
-  {
-    // Primitive recovery reads back the freshly stored conservatives, so
-    // the result is bitwise identical to the previously fused loop.
-    RSHC_OBS_PHASE("solver.phase.c2p", "solver", b);
-    for (int k = blk.begin(2); k < blk.end(2); ++k) {
-      for (int j = blk.begin(1); j < blk.end(1); ++j) {
-        for (int i = blk.begin(0); i < blk.end(0); ++i) {
-          const Cons next = Physics::load_cons(u, k, j, i);
-          const Prim p = Physics::to_prim(next, opt_.physics, stats);
-          // Post-recovery state must be physical even when the atmosphere
-          // fallback healed the zone; an unphysical prim escaping c2p is
-          // the bug class this checker exists for.
-          RSHC_CHECK_PRIM("c2p", p, b, i, j, k);
-          Physics::store_prim(w, k, j, i, p);
-          // Keep cons consistent when the atmosphere policy rewrote prims.
-          // (to_prim never throws; floored zones must not leave stale cons.)
-        }
-      }
-    }
-  }
-  block_stats_[static_cast<std::size_t>(b)] += stats;
-}
-
-// Batched update: delegates to the shared core::update_batched
-// instantiation (rk_combine_n span loops + batched con2prim) — the same
-// compiled body the device pipeline launches as its update kernel.
-// Bitwise identical to the pencil path; see rhs_core.cpp.
-template <typename Physics>
-void FvSolver<Physics>::update_block_batched(int b, time::StageCoeffs coeffs,
-                                             double dt) {
-  mesh::Block& blk = blocks_[static_cast<std::size_t>(b)];
-  const mesh::FieldArray& u0 = u0_[static_cast<std::size_t>(b)];
-  const mesh::FieldArray& du = du_[static_cast<std::size_t>(b)];
   C2PStats stats;
   core::update_batched<Physics>(
-      core::shape_of(blk, grid_), opt_.physics,
-      opt_.pipeline != HostPipeline::kBatchedScalar, coeffs.a, coeffs.b,
-      coeffs.c * dt, u0.flat().data(), du.flat().data(),
+      core::shape_of(blk, grid_), opt_.physics, coeffs.a, coeffs.b,
+      coeffs.c * dt, u0_[static_cast<std::size_t>(b)].flat().data(),
+      du_[static_cast<std::size_t>(b)].flat().data(),
       blk.cons().flat().data(), blk.prim().flat().data(), stats, b);
   block_stats_[static_cast<std::size_t>(b)] += stats;
 }
@@ -681,33 +387,14 @@ double FvSolver<Physics>::compute_dt() const {
     // scalar download per block instead of a state round-trip.
     return opt_.cfl * grid_.min_dx() / device_->max_wave_speed();
   }
+  // Slab-wise CFL scan through the shared core (the body the device
+  // pipeline launches as its dt kernel).
   double vmax = 1e-30;
-  if (opt_.pipeline != HostPipeline::kPencil) {
-    // Slab-wise CFL scan through the shared core (the body the device
-    // pipeline launches as its dt kernel), reduced in the same row-major
-    // order as the per-zone loop (max is insensitive to the change anyway
-    // — identical dt bit for bit).
-    const bool simd = opt_.pipeline != HostPipeline::kBatchedScalar;
-    std::vector<double> speed;
-    for (const auto& blk : blocks_) {
-      vmax = std::max(
-          vmax, core::max_wave_speed_batched<Physics>(
-                    core::shape_of(blk, grid_), opt_.physics, simd,
-                    blk.prim().flat().data(), speed));
-    }
-    return opt_.cfl * grid_.min_dx() / vmax;
-  }
+  std::vector<double> speed;
   for (const auto& blk : blocks_) {
-    const auto& w = blk.prim();
-    for (int k = blk.begin(2); k < blk.end(2); ++k) {
-      for (int j = blk.begin(1); j < blk.end(1); ++j) {
-        for (int i = blk.begin(0); i < blk.end(0); ++i) {
-          const Prim p = Physics::load_prim(w, k, j, i);
-          vmax = std::max(vmax,
-                          Physics::max_speed(p, opt_.physics, grid_.ndim()));
-        }
-      }
-    }
+    vmax = std::max(vmax, core::max_wave_speed_batched<Physics>(
+                              core::shape_of(blk, grid_), opt_.physics,
+                              blk.prim().flat().data(), speed));
   }
   return opt_.cfl * grid_.min_dx() / vmax;
 }

@@ -21,22 +21,23 @@ BlockShape shape_of(const mesh::Block& blk, const mesh::Grid& grid) {
   return sh;
 }
 
-// Batched rhs: identical arithmetic to FvSolver's pencil path, reorganized
-// for data movement. Per axis, pencils are processed in tiles of kTileRows
-// rows: the x axis reconstructs straight from the contiguous variable
-// slabs (zero gather); y/z tiles gather through a transpose whose inner
-// copies are unit-stride reads. The per-interface Riemann solve is the
-// same scalar code; flux components are staged per tile so du accumulation
-// runs as fused span loops preserving the pencil path's per-cell add order
-// (+left interface first, then -right) and expression shapes — the two
-// pipelines are bitwise identical. This single compiled instantiation also
-// serves as the device kernel body, so the device pipeline inherits the
-// same bits by construction.
+// Batched rhs: the per-pencil reference arithmetic (the oracle in
+// tests/support/pencil_reference.hpp), reorganized for data movement. Per
+// axis, pencils are processed in tiles of kTileRows rows: the x axis
+// reconstructs straight from the contiguous variable slabs (zero gather);
+// y/z tiles gather through a transpose whose inner copies are unit-stride
+// reads. The batched face kernels run the same per-interface Riemann
+// cores; flux components are staged per tile so du accumulation runs as
+// fused span loops preserving the reference's per-cell add order (+left
+// interface first, then -right) and expression shapes — bitwise
+// identical. This single compiled instantiation also serves as the device
+// kernel body, so the device pipeline inherits the same bits by
+// construction.
 template <typename Physics>
 void rhs_batched_range(const BlockShape& sh,
                        const typename Physics::Context& ctx,
-                       recon::PencilKernel recon_fn, bool simd,
-                       const double* w, double* du, BatchScratch<Physics>& s,
+                       recon::PencilKernel recon_fn, const double* w,
+                       double* du, BatchScratch<Physics>& s,
                        [[maybe_unused]] int block_id,
                        const std::array<int, 3>& lo,
                        const std::array<int, 3>& hi, bool zero_du) {
@@ -146,7 +147,7 @@ void rhs_batched_range(const BlockShape& sh,
               flp[v] = s.tfl[v].data() + off;
             }
             staged =
-                Physics::interface_flux_n(simd, nif, axis, wlp, wrp, flp, ctx);
+                Physics::interface_flux_n(true, nif, axis, wlp, wrp, flp, ctx);
           }
         }
 #endif
@@ -223,27 +224,16 @@ void rhs_batched_range(const BlockShape& sh,
   }
 }
 
-// Full-range rhs is the restricted call over the whole interior — one
-// compiled body serves the bulk pipelines, the device kernel, and every
-// box of the overlapped interior/boundary split.
-template <typename Physics>
-void rhs_batched(const BlockShape& sh, const typename Physics::Context& ctx,
-                 recon::PencilKernel recon_fn, bool simd, const double* w,
-                 double* du, BatchScratch<Physics>& s, int block_id) {
-  rhs_batched_range<Physics>(sh, ctx, recon_fn, simd, w, du, s, block_id,
-                             sh.begin, sh.end, /*zero_du=*/true);
-}
-
 // Batched update: the RK convex combination runs as fused axpby-style span
 // loops over contiguous interior rows of each variable slab, and primitive
 // recovery goes through the batched cons_to_prim_n kernels. Expression
 // shape ((a*u0 + b*u) + (c*dt)*du, left-associated) and the per-zone
-// Newton solve match the pencil path exactly — bitwise identical.
+// Newton solve match the per-pencil reference exactly — bitwise identical.
 template <typename Physics>
 void update_batched(const BlockShape& sh, const typename Physics::Context& ctx,
-                    bool simd, double ca, double cb, double cdt,
-                    const double* u0, const double* du, double* u, double* w,
-                    C2PStats& stats, [[maybe_unused]] int block_id) {
+                    double ca, double cb, double cdt, const double* u0,
+                    const double* du, double* u, double* w, C2PStats& stats,
+                    [[maybe_unused]] int block_id) {
   const std::size_t cells = sh.cells();
   const int ib = sh.begin[0];
   const auto nx = static_cast<std::size_t>(sh.end[0] - sh.begin[0]);
@@ -254,7 +244,7 @@ void update_batched(const BlockShape& sh, const typename Physics::Context& ctx,
       for (int k = sh.begin[2]; k < sh.end[2]; ++k) {
         for (int j = sh.begin[1]; j < sh.end[1]; ++j) {
           const std::size_t base = sh.cell_index(k, j, ib);
-          rk_combine_n(simd, nx, ca, u0 + voff + base, cb, u + voff + base,
+          rk_combine_n(true, nx, ca, u0 + voff + base, cb, u + voff + base,
                        cdt, du + voff + base);
         }
       }
@@ -273,10 +263,10 @@ void update_batched(const BlockShape& sh, const typename Physics::Context& ctx,
         for (int v = 0; v < Physics::kNumPrim; ++v) {
           wptr[v] = w + static_cast<std::size_t>(v) * cells + base;
         }
-        Physics::cons_to_prim_n(simd, nx, uptr, wptr, ctx, stats);
+        Physics::cons_to_prim_n(true, nx, uptr, wptr, ctx, stats);
 #if RSHC_CHECKS_ENABLED
-        // Same invariant as the pencil path: nothing unphysical may leave
-        // c2p, even when the atmosphere fallback healed the zone.
+        // Nothing unphysical may leave c2p, even when the atmosphere
+        // fallback healed the zone.
         for (std::size_t i = 0; i < nx; ++i) {
           double comp[Physics::kNumPrim];
           for (int v = 0; v < Physics::kNumPrim; ++v) comp[v] = wptr[v][i];
@@ -291,7 +281,7 @@ void update_batched(const BlockShape& sh, const typename Physics::Context& ctx,
 
 template <typename Physics>
 double max_wave_speed_batched(const BlockShape& sh,
-                              const typename Physics::Context& ctx, bool simd,
+                              const typename Physics::Context& ctx,
                               const double* w, std::vector<double>& speed) {
   double vmax = 1e-30;
   const std::size_t cells = sh.cells();
@@ -305,7 +295,7 @@ double max_wave_speed_batched(const BlockShape& sh,
       for (int v = 0; v < Physics::kNumPrim; ++v) {
         wptr[v] = w + static_cast<std::size_t>(v) * cells + base;
       }
-      Physics::max_speed_n(simd, nx, wptr, speed.data(), ctx, sh.ndim);
+      Physics::max_speed_n(true, nx, wptr, speed.data(), ctx, sh.ndim);
       for (std::size_t i = 0; i < nx; ++i) {
         vmax = std::max(vmax, speed[i]);
       }
@@ -333,39 +323,29 @@ void post_step_slabs<SrmhdPhysics>(const BlockShape& sh,
   for (std::size_t n = 0; n < cells; ++n) wp[n] *= factor;
 }
 
-template void rhs_batched<SrhdPhysics>(const BlockShape&,
-                                       const SrhdPhysics::Context&,
-                                       recon::PencilKernel, bool,
-                                       const double*, double*,
-                                       BatchScratch<SrhdPhysics>&, int);
-template void rhs_batched<SrmhdPhysics>(const BlockShape&,
-                                        const SrmhdPhysics::Context&,
-                                        recon::PencilKernel, bool,
-                                        const double*, double*,
-                                        BatchScratch<SrmhdPhysics>&, int);
 template void rhs_batched_range<SrhdPhysics>(
     const BlockShape&, const SrhdPhysics::Context&, recon::PencilKernel,
-    bool, const double*, double*, BatchScratch<SrhdPhysics>&, int,
+    const double*, double*, BatchScratch<SrhdPhysics>&, int,
     const std::array<int, 3>&, const std::array<int, 3>&, bool);
 template void rhs_batched_range<SrmhdPhysics>(
     const BlockShape&, const SrmhdPhysics::Context&, recon::PencilKernel,
-    bool, const double*, double*, BatchScratch<SrmhdPhysics>&, int,
+    const double*, double*, BatchScratch<SrmhdPhysics>&, int,
     const std::array<int, 3>&, const std::array<int, 3>&, bool);
 template void update_batched<SrhdPhysics>(const BlockShape&,
-                                          const SrhdPhysics::Context&, bool,
-                                          double, double, double,
-                                          const double*, const double*,
-                                          double*, double*, C2PStats&, int);
+                                          const SrhdPhysics::Context&, double,
+                                          double, double, const double*,
+                                          const double*, double*, double*,
+                                          C2PStats&, int);
 template void update_batched<SrmhdPhysics>(const BlockShape&,
-                                           const SrmhdPhysics::Context&, bool,
+                                           const SrmhdPhysics::Context&,
                                            double, double, double,
                                            const double*, const double*,
                                            double*, double*, C2PStats&, int);
 template double max_wave_speed_batched<SrhdPhysics>(
-    const BlockShape&, const SrhdPhysics::Context&, bool, const double*,
+    const BlockShape&, const SrhdPhysics::Context&, const double*,
     std::vector<double>&);
 template double max_wave_speed_batched<SrmhdPhysics>(
-    const BlockShape&, const SrmhdPhysics::Context&, bool, const double*,
+    const BlockShape&, const SrmhdPhysics::Context&, const double*,
     std::vector<double>&);
 template void post_step_slabs<SrhdPhysics>(const BlockShape&,
                                            const SrhdPhysics::Context&,

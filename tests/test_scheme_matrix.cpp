@@ -13,6 +13,7 @@
 #include "rshc/analysis/norms.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/fv_solver.hpp"
+#include "support/pencil_reference.hpp"
 
 namespace {
 
@@ -35,7 +36,7 @@ TEST_P(SchemeMatrix, SodTubeStaysPhysicalAndAccurate) {
   opt.physics.riemann = rs;
   solver::SrhdSolver s(g, opt);
   s.initialize(problems::shock_tube_ic(st));
-  s.advance_to(st.t_final);
+  const int steps = s.advance_to(st.t_final);
 
   const analysis::ExactRiemann exact(
       {st.left.rho, st.left.vx, st.left.p},
@@ -60,14 +61,18 @@ TEST_P(SchemeMatrix, SodTubeStaysPhysicalAndAccurate) {
   EXPECT_LT(analysis::l1_error(rho, ref), 0.08);
   EXPECT_EQ(s.c2p_stats().floored_zones, 0);
 
-  // The run above used the default batched pipeline. Replaying it on the
-  // per-pencil reference path (adaptive dt and all) must land on the exact
-  // same bits — the batched pipeline's core contract, checked here across
-  // the full scheme matrix on a complete shock-tube evolution.
-  opt.pipeline = solver::HostPipeline::kPencil;
+  // The run above used the batched pipeline. Replaying it through the
+  // per-pencil oracle (adaptive dt and all) must land on the exact same
+  // bits — the batched pipeline's core contract, checked here across the
+  // full scheme matrix on a complete shock-tube evolution.
   solver::SrhdSolver pencil(g, opt);
   pencil.initialize(problems::shock_tube_ic(st));
-  pencil.advance_to(st.t_final);
+  testsupport::PencilReference oracle(pencil);
+  EXPECT_EQ(oracle.reference_advance_to(st.t_final), steps);
+  EXPECT_EQ(pencil.time(), s.time());
+  EXPECT_EQ(oracle.c2p_stats().total_iterations,
+            s.c2p_stats().total_iterations);
+  EXPECT_EQ(oracle.c2p_stats().floored_zones, s.c2p_stats().floored_zones);
   const auto rho_p = pencil.gather_prim_var(srhd::kRho);
   const auto p_p = pencil.gather_prim_var(srhd::kP);
   int diffs = 0;

@@ -1,11 +1,12 @@
 // Batched kernel oracle: both translation-unit variants (scalar, simd) of
 // every batched SRHD kernel must reproduce the per-zone / per-interface
 // reference bit for bit (memcmp, so -0.0 and NaN bits count) on identical
-// inputs — the invariant the host pipelines and the heterogeneous backends
-// rely on. The simd c2p runs zones in lanes of 8 with a per-zone tail, so
-// the oracle covers every length 1-37 and the regimes that take each
-// path: W up to 100, pressure ratios 1e-8..1e8, evacuated, NaN, Inf and
-// negative-tau zones, and zones that exhaust max_iterations.
+// inputs — the invariant the host pipeline, the device pipeline and the
+// per-pencil solver oracle (support/pencil_reference.hpp) rely on. The
+// simd c2p runs zones in lanes of 8 with a per-zone tail, so the oracle
+// covers every length 1-37 and the regimes that take each path: W up to
+// 100, pressure ratios 1e-8..1e8, evacuated, NaN, Inf and negative-tau
+// zones, and zones that exhaust max_iterations.
 
 #include <gtest/gtest.h>
 

@@ -1,10 +1,16 @@
 // SRMHD physics: conservative map, fluxes, fast-speed bounds, GLM pieces,
-// and the 1D-W con2prim roundtrip sweep (with and without magnetization).
+// the 1D-W con2prim roundtrip sweep (with and without magnetization), and
+// the batched span kernels against the per-zone functions.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <vector>
 
+#include "rshc/solver/physics.hpp"
 #include "rshc/srhd/state.hpp"
 #include "rshc/srmhd/con2prim.hpp"
 #include "rshc/srmhd/glm.hpp"
@@ -201,6 +207,142 @@ TEST(SrmhdCons, ArithmeticCoversAllNineComponents) {
   const Cons diff = two - a;
   EXPECT_DOUBLE_EQ(diff.by, 7);
   EXPECT_DOUBLE_EQ(a.s_dot_b(), 2 * 6 + 3 * 7 + 4 * 8);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Both kernel TUs (scalar and simd) of the SRMHD span kernels, and of the
+// physics-agnostic rk_combine_n, must reproduce the per-zone /
+// per-interface functions bit for bit: the host pipeline runs the simd
+// variants, the per-pencil test oracle the per-zone functions, and the
+// BM_*Batch micro-benchmarks time the scalar variants against the simd
+// ones.
+TEST(SrmhdBatchKernels, BothVariantsMatchPerZoneFunctionsBitwise) {
+  using P = solver::SrmhdPhysics;
+  constexpr int nv = P::kNumPrim;
+  constexpr std::size_t n = 37;  // not a multiple of any vector width
+  const P::Context ctx;
+  std::mt19937 rng(14);
+  std::uniform_real_distribution<double> urho(0.05, 5.0);
+  std::uniform_real_distribution<double> uv(-0.55, 0.55);
+  std::uniform_real_distribution<double> up(1e-3, 5.0);
+  std::uniform_real_distribution<double> ub(-2.0, 2.0);
+  std::uniform_real_distribution<double> upsi(-0.1, 0.1);
+  auto draw = [&] {
+    Prim w = make_prim(urho(rng), uv(rng), uv(rng), uv(rng), up(rng),
+                       ub(rng), ub(rng), ub(rng));
+    w.psi = upsi(rng);
+    return w;
+  };
+  auto components = [](const Prim& w) {
+    return std::array<double, nv>{w.rho, w.vx, w.vy, w.vz, w.p,
+                                  w.bx,  w.by, w.bz, w.psi};
+  };
+  std::vector<Prim> wl(n);
+  std::vector<Prim> wr(n);
+  std::vector<Cons> u(n);
+  std::array<std::vector<double>, nv> wl_soa;
+  std::array<std::vector<double>, nv> wr_soa;
+  std::array<std::vector<double>, nv> u_soa;
+  for (int v = 0; v < nv; ++v) {
+    wl_soa[v].resize(n);
+    wr_soa[v].resize(n);
+    u_soa[v].resize(n);
+  }
+  double q[nv];
+  for (std::size_t i = 0; i < n; ++i) {
+    wl[i] = draw();
+    wr[i] = draw();
+    u[i] = P::to_cons(wl[i], ctx);
+    P::cons_components(u[i], q);
+    const auto cl = components(wl[i]);
+    const auto cr = components(wr[i]);
+    for (int v = 0; v < nv; ++v) {
+      u_soa[v][i] = q[v];
+      wl_soa[v][i] = cl[v];
+      wr_soa[v][i] = cr[v];
+    }
+  }
+  const double* uptr[nv];
+  const double* wlp[nv];
+  const double* wrp[nv];
+  for (int v = 0; v < nv; ++v) {
+    uptr[v] = u_soa[v].data();
+    wlp[v] = wl_soa[v].data();
+    wrp[v] = wr_soa[v].data();
+  }
+
+  for (const bool simd : {false, true}) {
+    SCOPED_TRACE(simd ? "simd" : "scalar");
+
+    // Con2prim: prims and Newton/floor counters.
+    std::array<std::vector<double>, nv> w_soa;
+    double* wptr[nv];
+    for (int v = 0; v < nv; ++v) {
+      w_soa[v].assign(n, 0.0);
+      wptr[v] = w_soa[v].data();
+    }
+    solver::C2PStats stats;
+    P::cons_to_prim_n(simd, n, uptr, wptr, ctx, stats);
+    solver::C2PStats ref_stats;
+    int diffs = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto ref = components(P::to_prim(u[i], ctx, ref_stats));
+      for (int v = 0; v < nv; ++v) diffs += !same_bits(w_soa[v][i], ref[v]);
+    }
+    EXPECT_EQ(diffs, 0) << "cons_to_prim_n";
+    EXPECT_EQ(stats.total_iterations, ref_stats.total_iterations);
+    EXPECT_EQ(stats.floored_zones, ref_stats.floored_zones);
+
+    // Max signal speed, every dimensionality.
+    std::vector<double> speed(n);
+    for (int ndim = 1; ndim <= 3; ++ndim) {
+      P::max_speed_n(simd, n, wlp, speed.data(), ctx, ndim);
+      diffs = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        diffs += !same_bits(speed[i], P::max_speed(wl[i], ctx, ndim));
+      }
+      EXPECT_EQ(diffs, 0) << "max_speed_n ndim=" << ndim;
+    }
+
+    // Limited face states + HLL-GLM flux, every axis.
+    std::array<std::vector<double>, nv> f_soa;
+    double* fptr[nv];
+    for (int v = 0; v < nv; ++v) {
+      f_soa[v].assign(n, 0.0);
+      fptr[v] = f_soa[v].data();
+    }
+    for (int axis = 0; axis < 3; ++axis) {
+      ASSERT_TRUE(P::interface_flux_n(simd, n, axis, wlp, wrp, fptr, ctx));
+      diffs = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        Prim a = wl[i];
+        Prim b = wr[i];
+        P::limit_face_state(a, ctx);
+        P::limit_face_state(b, ctx);
+        P::cons_components(P::interface_flux(a, b, axis, ctx), q);
+        for (int v = 0; v < nv; ++v) diffs += !same_bits(f_soa[v][i], q[v]);
+      }
+      EXPECT_EQ(diffs, 0) << "interface_flux_n axis=" << axis;
+    }
+
+    // RK stage combination keeps the left-associated expression shape.
+    const double a = 0.75;
+    const double b = 0.25;
+    const double c = 0.25 * 1.3e-3;
+    std::vector<double> y = wr_soa[srmhd::kP];
+    solver::rk_combine_n(simd, n, a, wl_soa[srmhd::kP].data(), b, y.data(), c,
+                         wl_soa[srmhd::kBy].data());
+    diffs = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double ref = (a * wl_soa[srmhd::kP][i] + b * wr_soa[srmhd::kP][i]) +
+                         c * wl_soa[srmhd::kBy][i];
+      diffs += !same_bits(y[i], ref);
+    }
+    EXPECT_EQ(diffs, 0) << "rk_combine_n";
+  }
 }
 
 }  // namespace
