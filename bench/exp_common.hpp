@@ -78,17 +78,6 @@ inline TubeErrors tube_errors(solver::SrhdSolver& s,
   return {analysis::l1_error(rho, rho_ref), analysis::l1_error(vx, vx_ref)};
 }
 
-/// Halo slab (in doubles) a device-resident batch of `n` zones moves per
-/// step in experiment F8 and the perf.f8.* crossover counters: the 5 prim
-/// variables on the 3-deep rims of both axes of a sqrt(n) x sqrt(n) tile —
-/// the same steady-state geometry the FvSolver kDevice pipeline exchanges
-/// each stage. Capped at n so degenerate tiny batches stay well-formed.
-inline std::size_t f8_halo_zones(std::size_t n) {
-  const auto side = static_cast<std::size_t>(
-      std::ceil(std::sqrt(static_cast<double>(n))));
-  return std::min(n, std::size_t{5} * 2 * 2 * 3 * side);
-}
-
 /// Smooth-wave solver on a periodic [0, 1] grid.
 inline std::unique_ptr<solver::SrhdSolver> make_wave_solver(
     long long n, recon::Method recon_m, double cfl = 0.2) {

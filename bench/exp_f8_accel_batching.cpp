@@ -12,12 +12,13 @@
 //              overhead and the tiny halo transfer remain, so throughput
 //              approaches host-simd once the batch amortizes them — the
 //              crossover the persistent-residency pipeline exists to move
-//              into real step-size range (see perf.f8.* counters in
-//              bench/perf_suite.cpp).
+//              into real step-size range.
 //
 // With a same-speed "device core" neither mode can beat host-simd; the
 // figure is about how close each gets and at what batch size.
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 
 #include "exp_common.hpp"
@@ -27,6 +28,17 @@
 namespace {
 
 using namespace rshc;
+
+/// Halo slab (in doubles) a device-resident batch of `n` zones moves per
+/// step: the 5 prim variables on the 3-deep rims of both axes of a
+/// sqrt(n) x sqrt(n) tile — the same steady-state geometry the FvSolver
+/// kDevice pipeline exchanges each stage. Capped at n so degenerate tiny
+/// batches stay well-formed.
+std::size_t halo_zones(std::size_t n) {
+  const auto side = static_cast<std::size_t>(
+      std::ceil(std::sqrt(static_cast<double>(n))));
+  return std::min(n, std::size_t{5} * 2 * 2 * 3 * side);
+}
 
 struct ConsBatch {
   std::vector<double> d, sx, sy, sz, tau;
@@ -107,7 +119,7 @@ int main() {
     // Resident: the cons state already lives on the device (uploaded above),
     // so a step pays only the launch overhead plus a halo-sized slab each
     // way — the FvSolver kDevice pipeline's steady-state cost.
-    const std::size_t halo = bench::f8_halo_zones(n);
+    const std::size_t halo = halo_zones(n);
     std::vector<double> halo_host(halo, 1.0);
     device::Buffer halo_buf = dev->alloc(halo);
     WallTimer tr;

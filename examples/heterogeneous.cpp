@@ -6,7 +6,10 @@
 //   ./examples/heterogeneous [N=128] [threads=4] [steps=20]
 //
 // This is the "zero to offload" tour of the device and runtime layers the
-// paper's heterogeneous pipeline rests on.
+// paper's heterogeneous pipeline rests on. It also runs with live
+// telemetry: a journal run bracket (RSHC_JOURNAL_OUT), the periodic
+// sampler (RSHC_TELEMETRY_OUT / RSHC_TELEMETRY_INTERVAL_MS) and the stall
+// watchdog (RSHC_WATCHDOG); RSHC_DUMP_REPORT=1 writes the run report.
 
 #include <cmath>
 #include <cstdio>
@@ -17,7 +20,9 @@
 
 #include "rshc/common/config.hpp"
 #include "rshc/common/timer.hpp"
+#include "rshc/obs/journal.hpp"
 #include "rshc/obs/obs.hpp"
+#include "rshc/obs/telemetry.hpp"
 #include "rshc/parallel/thread_pool.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/fv_solver.hpp"
@@ -40,6 +45,12 @@ int main(int argc, char** argv) {
   const unsigned threads =
       static_cast<unsigned>(cfg.get_int("threads", 4));
   const int steps = static_cast<int>(cfg.get_int("steps", 20));
+
+  obs::journal::run_start("heterogeneous");
+  obs::telemetry::Sampler sampler;  // options from RSHC_TELEMETRY_*
+  sampler.start();
+  obs::telemetry::Watchdog watchdog;  // options from RSHC_WATCHDOG*
+  watchdog.start();
 
   const mesh::Grid grid = mesh::Grid::make_2d(n, n, 0.0, 1.0, 0.0, 1.0);
   solver::SrhdSolver::Options opt;
@@ -113,6 +124,9 @@ int main(int argc, char** argv) {
   std::printf("# dataflow speedup: %.2fx (expect ~1 on a 1-core host; the "
               "gap widens with cores and block count)\n",
               t_bulk / t_flow);
-  rshc::obs::maybe_dump("heterogeneous");
+  watchdog.stop();
+  sampler.stop();
+  obs::maybe_dump("heterogeneous");
+  obs::journal::run_end("heterogeneous");
   return identical ? 0 : 1;
 }

@@ -1,11 +1,11 @@
 #pragma once
 // Schema-versioned JSON run report (DESIGN.md system: observability).
-// The single performance artifact the benches and CI gate on: one
-// RunReport = provenance (git sha, build type/flags, hardware probe) plus
-// per-phase statistics (count / sum / min / max and log-bin p50/p90/p99
-// from TimeHist) and, for multi-rank runs, a per-phase min/mean/max/
-// imbalance roll-up across ranks. bench/perf_suite writes it as
-// BENCH_perf.json; tools/perf_report.py validates and diffs reports.
+// One RunReport = provenance (git sha, build type/flags, hardware probe)
+// plus per-phase statistics (count / sum / min / max and log-bin
+// p50/p90/p99 from TimeHist) and, for multi-rank runs, a per-phase
+// min/mean/max/imbalance roll-up across ranks. obs::maybe_dump writes it
+// as <prefix>.report.json under RSHC_DUMP_REPORT=1; tools/perf_report.py
+// validates and prints reports.
 //
 // Rank awareness has two halves:
 //  - RankScope: RAII installed on each in-process rank thread; routes the
@@ -30,8 +30,8 @@
 
 namespace rshc::obs::report {
 
-/// Bump when the JSON layout changes; tools/perf_report.py refuses to
-/// compare reports across schema versions.
+/// Bump when the JSON layout changes; tools/perf_report.py rejects
+/// reports of any other schema version.
 inline constexpr int kSchemaVersion = 1;
 inline constexpr std::string_view kSchemaName = "rshc.perf_report";
 
@@ -68,7 +68,7 @@ struct PhaseStats {
 
 struct RunReport {
   int schema_version = kSchemaVersion;
-  std::string suite;  ///< producing harness, e.g. "perf_suite"
+  std::string suite;  ///< producing program, e.g. "heterogeneous"
   std::string git_sha = "unknown";
   std::string build_type;
   std::string build_flags;

@@ -13,7 +13,7 @@
 // the ghost-free interior while the messages fly, and finish_exchange
 // unpacks faces in arrival order (wait_any), releasing each boundary box
 // the moment its ghosts are valid. Bitwise identical to the synchronous
-// schedule; RSHC_OVERLAP=off (or set_overlap(false)) restores it.
+// schedule; set_overlap(false) restores it.
 
 #include <array>
 #include <optional>
@@ -46,9 +46,8 @@ class DistributedSolver {
   int advance_to(double t_end, int max_steps = 1000000);
 
   /// Enable/disable the latency-hiding exchange for subsequent steps.
-  /// Initial state comes from RSHC_OVERLAP (on unless "off"/"0"). Both
-  /// schedules are bitwise identical; off exists for A/B timing (F6b) and
-  /// as an escape hatch.
+  /// On by default. Both schedules are bitwise identical; off exists for
+  /// A/B timing (F6b) and as an escape hatch.
   void set_overlap(bool on);
   [[nodiscard]] bool overlap_enabled() const { return overlap_; }
 

@@ -59,9 +59,6 @@ enum class HostPipeline {
 };
 
 [[nodiscard]] std::string_view host_pipeline_name(HostPipeline p);
-/// Parse "batched-simd" or "device"; anything else throws rshc::Error
-/// naming the value.
-[[nodiscard]] HostPipeline parse_host_pipeline(std::string_view name);
 
 template <typename Physics>
 class DeviceExec;

@@ -1,7 +1,5 @@
 #include "rshc/solver/distributed.hpp"
 
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,13 +18,6 @@ constexpr int kGatherTag = 100;
 /// Slot in recv_futures_ / HaloBufferSet for face (axis, side).
 std::size_t face_slot(int axis, int side) {
   return static_cast<std::size_t>(axis * 2 + side);
-}
-
-bool overlap_env_enabled() {
-  const char* e = std::getenv("RSHC_OVERLAP");
-  if (e == nullptr) return true;
-  const std::string_view v(e);
-  return !(v == "off" || v == "0" || v == "false");
 }
 
 std::array<bool, 3> periodic_flags(const mesh::BoundarySpec& bc) {
@@ -56,7 +47,7 @@ DistributedSolver<Physics>::DistributedSolver(const mesh::Grid& grid,
   // Synchronous filler stays installed for the non-stepping ghost fills
   // (initialize, restart recovery) and as the overlap-off path.
   local_.set_ghost_filler([this](int) { exchange_halos(); });
-  set_overlap(overlap_env_enabled());
+  set_overlap(true);
 }
 
 template <typename Physics>

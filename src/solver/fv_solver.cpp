@@ -1,7 +1,6 @@
 #include "rshc/solver/fv_solver.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "rshc/check/check.hpp"
 #include "rshc/obs/obs.hpp"
@@ -16,14 +15,6 @@ std::string_view host_pipeline_name(HostPipeline p) {
     case HostPipeline::kDevice: return "device";
   }
   return "unknown";
-}
-
-HostPipeline parse_host_pipeline(std::string_view name) {
-  if (name == "batched-simd") return HostPipeline::kBatchedSimd;
-  if (name == "device") return HostPipeline::kDevice;
-  RSHC_REQUIRE(false, "unknown host pipeline '" + std::string(name) +
-                          "' (expected batched-simd or device)");
-  return HostPipeline::kBatchedSimd;  // unreachable
 }
 
 #if RSHC_OBS_ENABLED
@@ -513,34 +504,32 @@ void FvSolver<Physics>::step_parallel(double dt, parallel::ThreadPool& pool,
                "host-parallel stepping does not drive the device pipeline; "
                "use step() or set_pipeline() first");
   RSHC_OBS_PHASE("solver.step", "solver", -1);
+  if (dataflow) {
+    // The one-step graph saves u0 in its first-stage nodes and applies
+    // post_step in its last-stage nodes, so nothing may wrap it.
+    run_steps_dataflow(1, dt, pool);
+    return;
+  }
   RSHC_OBS_COUNT("solver.steps", 1);
 #if RSHC_OBS_ENABLED
   const WallTimer hb_timer;
 #endif
-  if (dataflow) {
-    current_dt_ = dt;
-    save_state();
-    step_graph(1).run(pool);
-    post_step_all();
-    time_ += dt;
-  } else {
-    // Bulk-synchronous: a barrier after every phase of every stage.
-    current_dt_ = dt;
-    save_state();
-    const int nb = num_blocks();
-    for (int s = 0; s < time::num_stages(opt_.integrator); ++s) {
-      const auto coeffs = time::stage_coeffs(opt_.integrator, s);
-      pool.parallel_for(0, nb, [&](long long b) {
-        exchange_block(static_cast<int>(b));
-      });
-      pool.parallel_for(0, nb, [&](long long b) {
-        compute_rhs(static_cast<int>(b));
-        update_block(static_cast<int>(b), coeffs, dt);
-      });
-    }
-    post_step_all();
-    time_ += dt;
+  // Bulk-synchronous: a barrier after every phase of every stage.
+  current_dt_ = dt;
+  save_state();
+  const int nb = num_blocks();
+  for (int s = 0; s < time::num_stages(opt_.integrator); ++s) {
+    const auto coeffs = time::stage_coeffs(opt_.integrator, s);
+    pool.parallel_for(0, nb, [&](long long b) {
+      exchange_block(static_cast<int>(b));
+    });
+    pool.parallel_for(0, nb, [&](long long b) {
+      compute_rhs(static_cast<int>(b));
+      update_block(static_cast<int>(b), coeffs, dt);
+    });
   }
+  post_step_all();
+  time_ += dt;
   ++steps_taken_;
 #if RSHC_OBS_ENABLED
   RSHC_OBS_HEARTBEAT(steps_taken_, time_, dt,

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <string>
 
 #include "rshc/analysis/exact_riemann.hpp"
 #include "rshc/common/math.hpp"
@@ -299,29 +298,6 @@ TEST(SrhdSolver, RejectsBlocksSmallerThanStencil) {
   opt.recon = recon::Method::kWENO5;  // ghost width 3
   opt.blocks = {4, 1, 1};             // 2 cells per block < 3
   EXPECT_THROW(SrhdSolver(g, opt), Error);
-}
-
-// RSHC_HOST_PIPELINE (bench/perf_suite) reaches parse_host_pipeline from
-// the environment: exactly the two pipeline names parse, and anything
-// else is an rshc::Error that names the rejected value.
-TEST(HostPipelineName, ParsesExactlyTheTwoPipelines) {
-  using solver::HostPipeline;
-  EXPECT_EQ(solver::parse_host_pipeline("batched-simd"),
-            HostPipeline::kBatchedSimd);
-  EXPECT_EQ(solver::parse_host_pipeline("device"), HostPipeline::kDevice);
-  for (const auto p : {HostPipeline::kBatchedSimd, HostPipeline::kDevice}) {
-    EXPECT_EQ(solver::parse_host_pipeline(solver::host_pipeline_name(p)), p);
-  }
-  for (const std::string bad : {"pencil", "batched-scalar", ""}) {
-    try {
-      (void)solver::parse_host_pipeline(bad);
-      ADD_FAILURE() << "accepted '" << bad << "'";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("'" + bad + "'"),
-                std::string::npos)
-          << e.what();
-    }
-  }
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // SRMHD solver integration: stability on standard MHD problems, GLM
-// divergence control, reduction to SRHD at B = 0, and failure injection
-// (corrupted zones must be healed, not crash the run).
+// divergence control, reduction to SRHD at B = 0, failure injection
+// (corrupted zones must be healed, not crash the run), and bitwise parity
+// of every block-parallel stepping mode with serial step().
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "rshc/analysis/norms.hpp"
+#include "rshc/parallel/thread_pool.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/diagnostics.hpp"
 #include "rshc/solver/fv_solver.hpp"
@@ -206,5 +210,78 @@ TEST(SrmhdSolver, PsiDampingShrinksPsiNorm) {
   for (int i = 0; i < 30; ++i) s.step(s.compute_dt());
   EXPECT_LT(solver::psi_l2(s), psi0);
 }
+
+// --- execution-mode parity ---------------------------------------------
+
+enum class Mode { kBulkStep, kDataflowStep, kBulkSync, kDataflow };
+
+std::string mode_name(const testing::TestParamInfo<Mode>& info) {
+  switch (info.param) {
+    case Mode::kBulkStep: return "BulkStepParallel";
+    case Mode::kDataflowStep: return "DataflowStepParallel";
+    case Mode::kBulkSync: return "RunStepsBulksync";
+    case Mode::kDataflow: return "RunStepsDataflow";
+  }
+  return "Unknown";
+}
+
+bool same_bits(const mesh::FieldArray& a, const mesh::FieldArray& b) {
+  return a.flat().size() == b.flat().size() &&
+         std::memcmp(a.flat().data(), b.flat().data(),
+                     a.flat().size() * sizeof(double)) == 0;
+}
+
+class SrmhdParallelParity : public testing::TestWithParam<Mode> {};
+
+// GLM damping runs once per step in Physics::post_step; a mode that applied
+// it twice (or skipped it) would leave every psi value off from serial.
+TEST_P(SrmhdParallelParity, MatchesSerialStepBitwise) {
+  constexpr int kSteps = 4;
+  constexpr double kDt = 0.005;
+  const mesh::Grid g = mesh::Grid::make_2d(32, 32, -0.5, 0.5, -0.5, 0.5);
+  SrmhdSolver::Options opt = mhd_opts();
+  opt.blocks = {2, 2, 1};
+  SrmhdSolver serial(g, opt);
+  SrmhdSolver par(g, opt);
+  serial.initialize(problems::field_loop_ic({}));
+  par.initialize(problems::field_loop_ic({}));
+
+  for (int i = 0; i < kSteps; ++i) serial.step(kDt);
+  parallel::ThreadPool pool(2);
+  switch (GetParam()) {
+    case Mode::kBulkStep:
+      for (int i = 0; i < kSteps; ++i) {
+        par.step_parallel(kDt, pool, /*dataflow=*/false);
+      }
+      break;
+    case Mode::kDataflowStep:
+      for (int i = 0; i < kSteps; ++i) {
+        par.step_parallel(kDt, pool, /*dataflow=*/true);
+      }
+      break;
+    case Mode::kBulkSync: par.run_steps_bulksync(kSteps, kDt, pool); break;
+    case Mode::kDataflow: par.run_steps_dataflow(kSteps, kDt, pool); break;
+  }
+
+  ASSERT_EQ(serial.num_blocks(), par.num_blocks());
+  for (int b = 0; b < serial.num_blocks(); ++b) {
+    EXPECT_TRUE(same_bits(serial.block(b).cons(), par.block(b).cons()))
+        << "cons, block " << b;
+    EXPECT_TRUE(same_bits(serial.block(b).prim(), par.block(b).prim()))
+        << "prims (psi included), block " << b;
+  }
+  EXPECT_EQ(serial.c2p_stats().total_iterations,
+            par.c2p_stats().total_iterations);
+  EXPECT_EQ(serial.c2p_stats().floored_zones,
+            par.c2p_stats().floored_zones);
+  EXPECT_EQ(serial.time(), par.time());
+  EXPECT_EQ(par.steps_taken(), kSteps);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, SrmhdParallelParity,
+                         testing::Values(Mode::kBulkStep,
+                                         Mode::kDataflowStep,
+                                         Mode::kBulkSync, Mode::kDataflow),
+                         mode_name);
 
 }  // namespace

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Validate, inspect, and diff rshc.perf_report JSON files (BENCH_perf.json).
+"""Validate and inspect rshc run reports and live-telemetry streams.
 
-The report is the single performance artifact produced by bench/perf_suite
-(schema in include/rshc/obs/report.hpp and DESIGN.md). This tool is the
-CI-side half of the contract.
+The run report (schema rshc.perf_report, in include/rshc/obs/report.hpp
+and DESIGN.md) is what obs::maybe_dump writes as <prefix>.report.json when
+RSHC_DUMP_REPORT=1, for any program that calls it. The telemetry stream is
+the obs Sampler's rshc.telemetry JSONL. Timing comparisons live in
+perfbench/ (see BENCHMARK.json); this tool checks structure only.
 
 Subcommands
 -----------
@@ -11,23 +13,8 @@ validate REPORT
     Structural checks only: schema name/version, required fields, ordered
     percentiles (min <= p50 <= p90 <= p99 <= max), sane rank roll-ups
     (min <= mean <= max, imbalance >= 1 when the phase ran).
-compare [BASELINE] CURRENT [--threshold F] [--min-sum S]
-    Diff two reports. BASELINE defaults to $RSHC_PERF_BASELINE when
-    omitted. Schema mismatch or a phase that disappeared is a *structural*
-    regression; a phase whose per-sample mean grew by more than
-    --threshold (default 0.30 = 30%, far above timer jitter but well
-    below a 2x algorithmic regression) is a *performance* regression.
-    Phases whose baseline total is below --min-sum seconds (default 1e-4)
-    are reported but never gate: their timings are noise-dominated.
-    The F8 crossover counters (perf.f8.crossover_batch.*) are diffed as
-    first-class rows alongside the phases: the crossover batch sliding up
-    by more than one sweep step (x4), or leaving the swept range entirely
-    (value 0), is a performance regression; a counter that disappears is
-    structural. The simulation-service counters get the same treatment:
-    perf.serve.jobs_per_hour is bigger-is-better (gates when the current
-    value drops below baseline / (1 + threshold)) and
-    perf.serve.p99_job_latency_ms is smaller-is-better (gates when the
-    tail latency grows past baseline * (1 + threshold)).
+    tests/perf_report_selftest.py seeds one defect per rule and requires
+    each to exit 2.
 show REPORT
     Human-readable table of the phases and counters.
 timeline TELEMETRY_JSONL [--journal J] [--validate] [--selftest]
@@ -43,17 +30,9 @@ timeline TELEMETRY_JSONL [--journal J] [--validate] [--selftest]
     --validate stops after the structural checks; --selftest additionally
     injects a sample gap (must raise the gap count) and a dropped
     heartbeat (must fail validation) and asserts both are detected.
-selftest REPORT
-    Self-check used by ctest (perf_report_selftest): validates REPORT,
-    then asserts compare(REPORT, REPORT) passes, an injected 10x slowdown
-    fails with exit 1, and a dropped phase fails with exit 2. When the
-    report carries the telemetry steady-throughput counter, its gates are
-    exercised the same way.
 
-Exit codes: 0 = ok, 1 = performance regression, 2 = structural problem
-(invalid/missing file, schema mismatch, missing phase). Keeping the two
-failure modes distinct lets CI gate hard on structure while treating pure
-timing deltas as advisory on noisy shared runners.
+Exit codes: 0 = ok, 2 = structural problem (invalid/missing file, schema
+mismatch, malformed field).
 """
 
 from __future__ import annotations
@@ -61,14 +40,12 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import sys
 
 SCHEMA_NAME = "rshc.perf_report"
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
-EXIT_PERF = 1
 EXIT_STRUCTURAL = 2
 
 # A hair of slack for percentile ordering: the p99 interpolation and the
@@ -95,6 +72,13 @@ def load(path: str) -> dict:
 def die_structural(msg: str) -> None:
     print(f"perf_report: STRUCTURAL: {msg}", file=sys.stderr)
     sys.exit(EXIT_STRUCTURAL)
+
+
+def print_problems(problems: list[str]) -> bool:
+    """Print each structural problem; True when there were any."""
+    for p in problems:
+        print(f"perf_report: STRUCTURAL: {p}", file=sys.stderr)
+    return bool(problems)
 
 
 def validate_report(rep: dict, label: str) -> list[str]:
@@ -149,210 +133,9 @@ def validate_report(rep: dict, label: str) -> list[str]:
     return problems
 
 
-def phase_map(rep: dict) -> dict[str, dict]:
-    return {ph["name"]: ph for ph in rep.get("phases", [])
-            if isinstance(ph, dict) and "name" in ph}
-
-
-def counter_map(rep: dict) -> dict[str, float]:
-    return {c["name"]: c["value"] for c in rep.get("counters", [])
-            if isinstance(c, dict) and "name" in c and "value" in c}
-
-
-# F8 accelerator crossover counters (bench/perf_suite.cpp
-# run_f8_crossover): the smallest swept con2prim batch at which each
-# offload mode reaches the host-parity band. Values are quantized to the
-# sweep's geometric x4 steps, so a one-step move is timing jitter on a
-# shared runner; more than one step — or the crossover leaving the swept
-# range entirely (value 0) — is a real shift in where offload pays off.
-_CROSSOVER_COUNTERS = ("perf.f8.crossover_batch.staged",
-                       "perf.f8.crossover_batch.resident")
-_CROSSOVER_STEP = 4.0
-
-
-def compare_crossovers(base: dict, cur: dict) -> tuple[list[str], list[str]]:
-    """First-class rows for the F8 crossover counters.
-
-    Prints one row per counter present in either report and returns
-    (perf_regressions, structural_problems) as message lists.
-    """
-    base_ctr, cur_ctr = counter_map(base), counter_map(cur)
-    perf: list[str] = []
-    structural: list[str] = []
-    for name in _CROSSOVER_COUNTERS:
-        b, c = base_ctr.get(name), cur_ctr.get(name)
-        if b is None and c is None:
-            continue
-        if b is None:
-            print(f"perf_report: note: new counter '{name}' = {c:.0f} "
-                  f"(not in baseline)")
-            continue
-        if c is None:
-            structural.append(f"counter '{name}' present in baseline but "
-                              f"missing from current report")
-            continue
-        if b == 0 and c == 0:
-            print(f"  [ ] {name}: crossover batch outside swept range in "
-                  f"both reports")
-            continue
-        if b == 0:
-            print(f"  [ ] {name}: crossover batch entered the swept range "
-                  f"at {c:.0f}")
-            continue
-        if c == 0:
-            print(f"  [!] {name}: crossover batch {b:.0f} -> outside the "
-                  f"swept range")
-            perf.append(f"{name} crossover left the swept batch range "
-                        f"(was {b:.0f})")
-            continue
-        ratio = c / b
-        bad = ratio > _CROSSOVER_STEP + _EPS
-        print(f"  [{'!' if bad else ' '}] {name}: crossover batch "
-              f"{b:.0f} -> {c:.0f} ({ratio:.2g}x)")
-        if bad:
-            perf.append(f"{name} crossover batch is {ratio:.2g}x the "
-                        f"baseline (more than one x{_CROSSOVER_STEP:.0f} "
-                        f"sweep step)")
-    return perf, structural
-
-
-# Steady-state solver throughput measured by the live-telemetry sampler
-# (bench/perf_suite.cpp: median of the positive heartbeat zones/sec).
-# Unlike phase means this is a bigger-is-better counter, so the gate is
-# current < baseline / (1 + threshold).
-_STEADY_COUNTER = "perf.telemetry.steady_zones_per_sec"
-
-
-def compare_steady_throughput(base: dict, cur: dict,
-                              threshold: float) -> tuple[list[str], list[str]]:
-    """First-class row for the telemetry steady-throughput counter."""
-    b = counter_map(base).get(_STEADY_COUNTER)
-    c = counter_map(cur).get(_STEADY_COUNTER)
-    perf: list[str] = []
-    structural: list[str] = []
-    if b is None and c is None:
-        return perf, structural
-    if b is None:
-        print(f"perf_report: note: new counter '{_STEADY_COUNTER}' = "
-              f"{c:.3e} (not in baseline)")
-        return perf, structural
-    if c is None:
-        structural.append(f"counter '{_STEADY_COUNTER}' present in baseline "
-                          f"but missing from current report")
-        return perf, structural
-    if b <= 0.0:
-        print(f"  [ ] {_STEADY_COUNTER}: baseline measured no steady "
-              f"throughput; nothing to gate")
-        return perf, structural
-    ratio = c / b
-    bad = c < b / (1.0 + threshold)
-    print(f"  [{'!' if bad else ' '}] {_STEADY_COUNTER}: {b:.3e} -> "
-          f"{c:.3e} zones/s ({ratio - 1.0:+.1%} vs baseline)")
-    if bad:
-        perf.append(f"{_STEADY_COUNTER} dropped to {ratio:.2f}x the "
-                    f"baseline (threshold {1.0 / (1.0 + threshold):.2f}x)")
-    return perf, structural
-
-
-# Latency-hiding halo exchange efficiency (bench/perf_suite.cpp
-# run_f6_overlap): sync-vs-overlap time-per-step slope ratio against
-# injected message latency, in percent (200 = overlap hides half the
-# latency the sync schedule pays). Bigger is better, same gate shape as
-# the steady-throughput counter.
-_OVERLAP_COUNTER = "perf.f6.overlap_efficiency"
-
-
-def compare_overlap_efficiency(base: dict, cur: dict,
-                               threshold: float) -> tuple[list[str],
-                                                          list[str]]:
-    """First-class row for the halo-overlap efficiency counter."""
-    b = counter_map(base).get(_OVERLAP_COUNTER)
-    c = counter_map(cur).get(_OVERLAP_COUNTER)
-    perf: list[str] = []
-    structural: list[str] = []
-    if b is None and c is None:
-        return perf, structural
-    if b is None:
-        print(f"perf_report: note: new counter '{_OVERLAP_COUNTER}' = "
-              f"{c:.0f}% (not in baseline)")
-        return perf, structural
-    if c is None:
-        structural.append(f"counter '{_OVERLAP_COUNTER}' present in baseline "
-                          f"but missing from current report")
-        return perf, structural
-    if b <= 0.0:
-        print(f"  [ ] {_OVERLAP_COUNTER}: baseline measured no overlap "
-              f"efficiency; nothing to gate")
-        return perf, structural
-    ratio = c / b
-    bad = c < b / (1.0 + threshold)
-    print(f"  [{'!' if bad else ' '}] {_OVERLAP_COUNTER}: {b:.0f}% -> "
-          f"{c:.0f}% ({ratio - 1.0:+.1%} vs baseline)")
-    if bad:
-        perf.append(f"{_OVERLAP_COUNTER} dropped to {ratio:.2f}x the "
-                    f"baseline (threshold {1.0 / (1.0 + threshold):.2f}x); "
-                    f"the overlapped exchange is hiding less latency")
-    return perf, structural
-
-
-# Simulation-service gate counters (bench/perf_suite.cpp run_serve): the
-# saturating mixed workload's throughput and tail latency. Throughput is
-# bigger-is-better like the steady counter; the p99 latency is the one
-# smaller-is-better gate in the report, so its check is inverted
-# (current > baseline * (1 + threshold) fails).
-_SERVE_JOBS_COUNTER = "perf.serve.jobs_per_hour"
-_SERVE_P99_COUNTER = "perf.serve.p99_job_latency_ms"
-
-
-def compare_serve(base: dict, cur: dict,
-                  threshold: float) -> tuple[list[str], list[str]]:
-    """First-class rows for the simulation-service gate counters."""
-    base_ctr, cur_ctr = counter_map(base), counter_map(cur)
-    perf: list[str] = []
-    structural: list[str] = []
-    for name, bigger_is_better in ((_SERVE_JOBS_COUNTER, True),
-                                   (_SERVE_P99_COUNTER, False)):
-        b, c = base_ctr.get(name), cur_ctr.get(name)
-        if b is None and c is None:
-            continue
-        if b is None:
-            print(f"perf_report: note: new counter '{name}' = {c:.0f} "
-                  f"(not in baseline)")
-            continue
-        if c is None:
-            structural.append(f"counter '{name}' present in baseline but "
-                              f"missing from current report")
-            continue
-        if b <= 0.0:
-            print(f"  [ ] {name}: baseline measured nothing; nothing to "
-                  f"gate")
-            continue
-        ratio = c / b
-        if bigger_is_better:
-            bad = c < b / (1.0 + threshold)
-            unit = "jobs/h"
-        else:
-            bad = c > b * (1.0 + threshold)
-            unit = "ms"
-        print(f"  [{'!' if bad else ' '}] {name}: {b:.0f} -> {c:.0f} "
-              f"{unit} ({ratio - 1.0:+.1%} vs baseline)")
-        if bad:
-            direction = "dropped" if bigger_is_better else "grew"
-            perf.append(f"{name} {direction} to {ratio:.2f}x the baseline "
-                        f"(threshold {threshold:.0%})")
-    return perf, structural
-
-
-def mean_per_sample(ph: dict) -> float:
-    return ph["sum_s"] / ph["count"] if ph["count"] else 0.0
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     rep = load(args.report)
-    problems = validate_report(rep, args.report)
-    if problems:
-        for p in problems:
-            print(f"perf_report: STRUCTURAL: {p}", file=sys.stderr)
+    if print_problems(validate_report(rep, args.report)):
         return EXIT_STRUCTURAL
     print(f"perf_report: {args.report}: valid "
           f"({len(rep['phases'])} phases, {len(rep['counters'])} counters, "
@@ -360,90 +143,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def compare_reports(base: dict, cur: dict, threshold: float,
-                    min_sum: float) -> int:
-    """Core of `compare`; prints findings and returns the exit code."""
-    problems = (validate_report(base, "baseline")
-                + validate_report(cur, "current"))
-    if problems:
-        for p in problems:
-            print(f"perf_report: STRUCTURAL: {p}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-
-    base_phases = phase_map(base)
-    cur_phases = phase_map(cur)
-    missing = sorted(set(base_phases) - set(cur_phases))
-    if missing:
-        for name in missing:
-            print(f"perf_report: STRUCTURAL: phase '{name}' present in "
-                  f"baseline but missing from current report",
-                  file=sys.stderr)
-        return EXIT_STRUCTURAL
-
-    added = sorted(set(cur_phases) - set(base_phases))
-    for name in added:
-        print(f"perf_report: note: new phase '{name}' (not in baseline)")
-
-    regressions = []
-    for name in sorted(base_phases):
-        b, c = base_phases[name], cur_phases[name]
-        b_mean, c_mean = mean_per_sample(b), mean_per_sample(c)
-        if b_mean <= 0.0:
-            continue
-        ratio = c_mean / b_mean
-        gating = b["sum_s"] >= min_sum
-        marker = " " if ratio <= 1.0 + threshold else ("!" if gating else "~")
-        print(f"  [{marker}] {name}: mean/sample {b_mean:.3e}s -> "
-              f"{c_mean:.3e}s ({ratio - 1.0:+.1%} vs baseline)")
-        if ratio > 1.0 + threshold and gating:
-            regressions.append(f"{name} is {ratio:.2f}x the baseline mean "
-                               f"(threshold {1.0 + threshold:.2f}x)")
-
-    crossover_perf, crossover_structural = compare_crossovers(base, cur)
-    steady_perf, steady_structural = compare_steady_throughput(
-        base, cur, threshold)
-    overlap_perf, overlap_structural = compare_overlap_efficiency(
-        base, cur, threshold)
-    serve_perf, serve_structural = compare_serve(base, cur, threshold)
-    if (crossover_structural or steady_structural or overlap_structural
-            or serve_structural):
-        for msg in (crossover_structural + steady_structural
-                    + overlap_structural + serve_structural):
-            print(f"perf_report: STRUCTURAL: {msg}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    regressions.extend(crossover_perf)
-    regressions.extend(steady_perf)
-    regressions.extend(overlap_perf)
-    regressions.extend(serve_perf)
-
-    if regressions:
-        for msg in regressions:
-            print(f"perf_report: REGRESSION: {msg}", file=sys.stderr)
-        return EXIT_PERF
-    print("perf_report: compare OK "
-          f"(threshold {threshold:.0%}, {len(base_phases)} phases)")
-    return EXIT_OK
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    baseline = args.baseline
-    if args.current is None:
-        # Single positional: it is the current report, baseline from env.
-        args.current, baseline = baseline, os.environ.get(
-            "RSHC_PERF_BASELINE", "")
-        if not baseline:
-            die_structural("compare needs a baseline: pass two reports or "
-                           "set RSHC_PERF_BASELINE")
-    return compare_reports(load(baseline), load(args.current),
-                           args.threshold, args.min_sum)
-
-
 def cmd_show(args: argparse.Namespace) -> int:
     rep = load(args.report)
-    problems = validate_report(rep, args.report)
-    if problems:
-        for p in problems:
-            print(f"perf_report: STRUCTURAL: {p}", file=sys.stderr)
+    if print_problems(validate_report(rep, args.report)):
         return EXIT_STRUCTURAL
     hw = rep["hardware"]
     print(f"suite {rep['suite']} | git {rep['git_sha']} | "
@@ -596,10 +298,7 @@ def print_timeline_summary(stats: dict, label: str,
 
 def timeline_selftest(records: list[dict], journal_records: list[dict],
                       label: str) -> int:
-    problems = validate_timeline(records, label)
-    if problems:
-        for p in problems:
-            print(f"perf_report: STRUCTURAL: {p}", file=sys.stderr)
+    if print_problems(validate_timeline(records, label)):
         return EXIT_STRUCTURAL
 
     samples = [r for r in records if r.get("kind") == "sample"]
@@ -649,10 +348,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     journal_records = load_jsonl(args.journal) if args.journal else []
     if args.selftest:
         return timeline_selftest(records, journal_records, args.telemetry)
-    problems = validate_timeline(records, args.telemetry)
-    if problems:
-        for p in problems:
-            print(f"perf_report: STRUCTURAL: {p}", file=sys.stderr)
+    if print_problems(validate_timeline(records, args.telemetry)):
         return EXIT_STRUCTURAL
     if args.validate:
         print(f"perf_report: {args.telemetry}: valid telemetry stream "
@@ -661,171 +357,6 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         return EXIT_OK
     print_timeline_summary(timeline_stats(records, journal_records),
                            args.telemetry, bool(args.journal))
-    return EXIT_OK
-
-
-def cmd_selftest(args: argparse.Namespace) -> int:
-    rep = load(args.report)
-    problems = validate_report(rep, args.report)
-    if problems:
-        for p in problems:
-            print(f"perf_report: STRUCTURAL: {p}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-
-    # Identity compare must pass.
-    rc = compare_reports(rep, copy.deepcopy(rep), 0.30, 1e-4)
-    if rc != EXIT_OK:
-        print("perf_report: selftest: identity compare failed", file=sys.stderr)
-        return EXIT_STRUCTURAL
-
-    # A 10x slowdown on the slowest phase must trip the perf gate.
-    slowed = copy.deepcopy(rep)
-    victim = max(slowed["phases"], key=lambda ph: ph["sum_s"])
-    victim["sum_s"] *= 10.0
-    rc = compare_reports(rep, slowed, 0.30, 1e-4)
-    if rc != EXIT_PERF:
-        print(f"perf_report: selftest: injected 10x regression on "
-              f"'{victim['name']}' returned {rc}, expected {EXIT_PERF}",
-              file=sys.stderr)
-        return EXIT_STRUCTURAL
-
-    # A dropped phase must trip the structural gate.
-    dropped = copy.deepcopy(rep)
-    gone = dropped["phases"].pop()
-    rc = compare_reports(rep, dropped, 0.30, 1e-4)
-    if rc != EXIT_STRUCTURAL:
-        print(f"perf_report: selftest: dropping phase '{gone['name']}' "
-              f"returned {rc}, expected {EXIT_STRUCTURAL}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-
-    # F8 crossover gates, exercised on the first crossover counter the
-    # report actually measured inside the sweep (skipped, with a note, on
-    # reports predating the counters or where nothing crossed).
-    ctr = counter_map(rep)
-    victim_ctr = next((name for name in _CROSSOVER_COUNTERS
-                       if ctr.get(name, 0) > 0), None)
-    if victim_ctr is None:
-        print("perf_report: selftest: no in-sweep F8 crossover counter; "
-              "skipping crossover gate checks")
-    else:
-        def with_crossover(value: float) -> dict:
-            mutated = copy.deepcopy(rep)
-            for c in mutated["counters"]:
-                if c["name"] == victim_ctr:
-                    c["value"] = value
-            return mutated
-
-        # Two sweep steps (x16) up must trip the perf gate; so must the
-        # crossover leaving the swept range (0); dropping the counter
-        # entirely is structural.
-        cases = ((with_crossover(ctr[victim_ctr] * 16.0), EXIT_PERF,
-                  "x16 crossover slip"),
-                 (with_crossover(0.0), EXIT_PERF,
-                  "crossover leaving the swept range"),
-                 ({**copy.deepcopy(rep),
-                   "counters": [c for c in copy.deepcopy(rep)["counters"]
-                                if c["name"] != victim_ctr]},
-                  EXIT_STRUCTURAL, "dropped crossover counter"))
-        for mutated, expected, what in cases:
-            rc = compare_reports(rep, mutated, 0.30, 1e-4)
-            if rc != expected:
-                print(f"perf_report: selftest: {what} on '{victim_ctr}' "
-                      f"returned {rc}, expected {expected}", file=sys.stderr)
-                return EXIT_STRUCTURAL
-
-    # Telemetry steady-throughput gates, exercised when the report carries
-    # the counter: halving the throughput must trip the perf gate,
-    # dropping the counter is structural.
-    steady = counter_map(rep).get(_STEADY_COUNTER, 0)
-    if steady <= 0:
-        print("perf_report: selftest: no telemetry steady-throughput "
-              "counter; skipping its gate checks")
-    else:
-        halved = copy.deepcopy(rep)
-        for c in halved["counters"]:
-            if c["name"] == _STEADY_COUNTER:
-                c["value"] = steady / 2.0
-        rc = compare_reports(rep, halved, 0.30, 1e-4)
-        if rc != EXIT_PERF:
-            print(f"perf_report: selftest: halved steady throughput "
-                  f"returned {rc}, expected {EXIT_PERF}", file=sys.stderr)
-            return EXIT_STRUCTURAL
-        dropped_ctr = copy.deepcopy(rep)
-        dropped_ctr["counters"] = [c for c in dropped_ctr["counters"]
-                                   if c["name"] != _STEADY_COUNTER]
-        rc = compare_reports(rep, dropped_ctr, 0.30, 1e-4)
-        if rc != EXIT_STRUCTURAL:
-            print(f"perf_report: selftest: dropped steady-throughput "
-                  f"counter returned {rc}, expected {EXIT_STRUCTURAL}",
-                  file=sys.stderr)
-            return EXIT_STRUCTURAL
-
-    # Overlap-efficiency gates, exercised when the report carries the
-    # counter: halving the efficiency must trip the perf gate, dropping
-    # the counter is structural.
-    overlap = counter_map(rep).get(_OVERLAP_COUNTER, 0)
-    if overlap <= 0:
-        print("perf_report: selftest: no overlap-efficiency counter; "
-              "skipping its gate checks")
-    else:
-        halved = copy.deepcopy(rep)
-        for c in halved["counters"]:
-            if c["name"] == _OVERLAP_COUNTER:
-                c["value"] = overlap / 2.0
-        rc = compare_reports(rep, halved, 0.30, 1e-4)
-        if rc != EXIT_PERF:
-            print(f"perf_report: selftest: halved overlap efficiency "
-                  f"returned {rc}, expected {EXIT_PERF}", file=sys.stderr)
-            return EXIT_STRUCTURAL
-        dropped_ctr = copy.deepcopy(rep)
-        dropped_ctr["counters"] = [c for c in dropped_ctr["counters"]
-                                   if c["name"] != _OVERLAP_COUNTER]
-        rc = compare_reports(rep, dropped_ctr, 0.30, 1e-4)
-        if rc != EXIT_STRUCTURAL:
-            print(f"perf_report: selftest: dropped overlap-efficiency "
-                  f"counter returned {rc}, expected {EXIT_STRUCTURAL}",
-                  file=sys.stderr)
-            return EXIT_STRUCTURAL
-
-    # Simulation-service gates, exercised when the report carries the
-    # counters: halving the throughput and 10x-ing the p99 tail must each
-    # trip the perf gate (the p99 check proves the smaller-is-better
-    # direction is honored), and dropping either counter is structural.
-    serve_jobs = counter_map(rep).get(_SERVE_JOBS_COUNTER, 0)
-    serve_p99 = counter_map(rep).get(_SERVE_P99_COUNTER, 0)
-    if serve_jobs <= 0 or serve_p99 <= 0:
-        print("perf_report: selftest: no simulation-service counters; "
-              "skipping their gate checks")
-    else:
-        def with_counter(name: str, value: float) -> dict:
-            mutated = copy.deepcopy(rep)
-            for c in mutated["counters"]:
-                if c["name"] == name:
-                    c["value"] = value
-            return mutated
-
-        def without_counter(name: str) -> dict:
-            mutated = copy.deepcopy(rep)
-            mutated["counters"] = [c for c in mutated["counters"]
-                                   if c["name"] != name]
-            return mutated
-
-        cases = ((with_counter(_SERVE_JOBS_COUNTER, serve_jobs / 2.0),
-                  EXIT_PERF, "halved serve throughput"),
-                 (with_counter(_SERVE_P99_COUNTER, serve_p99 * 10.0),
-                  EXIT_PERF, "10x serve p99 latency"),
-                 (without_counter(_SERVE_JOBS_COUNTER), EXIT_STRUCTURAL,
-                  "dropped serve throughput counter"),
-                 (without_counter(_SERVE_P99_COUNTER), EXIT_STRUCTURAL,
-                  "dropped serve p99 counter"))
-        for mutated, expected, what in cases:
-            rc = compare_reports(rep, mutated, 0.30, 1e-4)
-            if rc != expected:
-                print(f"perf_report: selftest: {what} returned {rc}, "
-                      f"expected {expected}", file=sys.stderr)
-                return EXIT_STRUCTURAL
-
-    print(f"perf_report: selftest OK ({args.report})")
     return EXIT_OK
 
 
@@ -839,21 +370,6 @@ def main(argv: list[str]) -> int:
     p = sub.add_parser("validate", help="structural checks on one report")
     p.add_argument("report")
     p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("compare", help="diff two reports")
-    p.add_argument("baseline",
-                   help="baseline report (or the current report when the "
-                        "baseline comes from $RSHC_PERF_BASELINE)")
-    p.add_argument("current", nargs="?",
-                   help="current report; omit to use $RSHC_PERF_BASELINE "
-                        "as the baseline")
-    p.add_argument("--threshold", type=float, default=0.30,
-                   help="relative mean-per-sample growth that fails the "
-                        "gate (default 0.30)")
-    p.add_argument("--min-sum", type=float, default=1e-4,
-                   help="baseline phases whose sum_s is below this never "
-                        "gate (default 1e-4 s)")
-    p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("show", help="print a report as a table")
     p.add_argument("report")
@@ -871,10 +387,6 @@ def main(argv: list[str]) -> int:
                    help="assert an injected sample gap and a dropped "
                         "heartbeat are detected")
     p.set_defaults(fn=cmd_timeline)
-
-    p = sub.add_parser("selftest", help="ctest: gate logic sanity checks")
-    p.add_argument("report")
-    p.set_defaults(fn=cmd_selftest)
 
     args = parser.parse_args(argv)
     return args.fn(args)
