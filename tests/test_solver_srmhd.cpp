@@ -112,6 +112,54 @@ TEST(SrmhdSolver, BalsaraShockTubeRunsStable) {
   EXPECT_EQ(s.c2p_stats().floored_zones, 0);
 }
 
+// Golden regression: pins the solver's output to the last bit we can state
+// in decimal. The per-pencil test oracle compiles the same per-zone
+// physics the batched kernels do, so a change of values there moves both
+// sides of every memcmp at once; these constants (generated with %.17g
+// before the SRMHD kernels were vectorized) are what catches it. Any
+// change to the SRMHD numerics fails here by design.
+double l1_norm(const SrmhdSolver& s, int v) {
+  const auto q = s.gather_prim_var(v);
+  double sum = 0.0;
+  for (const double x : q) sum += std::abs(x);
+  return sum / static_cast<double>(q.size());
+}
+
+TEST(SrmhdSolver, BalsaraTubeGoldenRegression) {
+  const problems::MhdShockTube st = problems::balsara_1();
+  const mesh::Grid g = mesh::Grid::make_1d(128, 0.0, 1.0);
+  SrmhdSolver::Options opt = mhd_opts();
+  opt.bc = mesh::BoundarySpec::all(mesh::BcType::kOutflow);
+  opt.physics.eos = eos::IdealGas(st.gamma);
+  SrmhdSolver s(g, opt);
+  s.initialize(problems::mhd_shock_tube_ic(st));
+  const int steps = s.advance_to(st.t_final);
+  EXPECT_EQ(steps, 165);
+  EXPECT_NEAR(s.time(), 0.40000000000000002, 1e-13);
+  EXPECT_NEAR(l1_norm(s, srmhd::kRho), 0.51536241910041114, 1e-13);
+  EXPECT_NEAR(l1_norm(s, srmhd::kVx), 0.15920803115598334, 1e-13);
+  EXPECT_NEAR(l1_norm(s, srmhd::kP), 0.4327586839810254, 1e-13);
+  EXPECT_NEAR(l1_norm(s, srmhd::kBy), 0.79583185826427016, 1e-13);
+  EXPECT_EQ(s.c2p_stats().total_iterations, 225444);
+  EXPECT_EQ(s.c2p_stats().floored_zones, 0);
+}
+
+TEST(SrmhdSolver, MhdBlastGoldenRegression) {
+  const mesh::Grid g = mesh::Grid::make_2d(32, 32, -1.0, 1.0, -1.0, 1.0);
+  SrmhdSolver::Options opt = mhd_opts();
+  opt.bc = mesh::BoundarySpec::all(mesh::BcType::kOutflow);
+  SrmhdSolver s(g, opt);
+  s.initialize(problems::mhd_blast2d_ic({}));
+  for (int i = 0; i < 20; ++i) s.step(s.compute_dt());
+  EXPECT_NEAR(s.time(), 0.50861993507430803, 1e-13);
+  EXPECT_NEAR(l1_norm(s, srmhd::kRho), 0.996554171729091, 1e-13);
+  EXPECT_NEAR(l1_norm(s, srmhd::kVx), 0.017456951175262723, 1e-13);
+  EXPECT_NEAR(l1_norm(s, srmhd::kP), 0.018174812074620843, 1e-13);
+  EXPECT_NEAR(l1_norm(s, srmhd::kBy), 0.0036207328416408119, 1e-13);
+  EXPECT_EQ(s.c2p_stats().total_iterations, 188736);
+  EXPECT_EQ(s.c2p_stats().floored_zones, 0);
+}
+
 TEST(SrmhdSolver, ConservationWithPeriodicBcs) {
   const mesh::Grid g = mesh::Grid::make_2d(16, 16, -0.5, 0.5, -0.5, 0.5);
   SrmhdSolver s(g, mhd_opts());
