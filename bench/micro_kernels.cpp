@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <random>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "rshc/srhd/con2prim.hpp"
 #include "rshc/srhd/kernels.hpp"
 #include "rshc/srmhd/con2prim.hpp"
+#include "rshc/srmhd/kernels.hpp"
 
 namespace {
 
@@ -210,19 +212,69 @@ BENCHMARK(BM_SrhdFacesBatch)
     ->Args({0, static_cast<int>(riemann::Solver::kHLLC)})
     ->Args({1, static_cast<int>(riemann::Solver::kHLLC)});
 
-void BM_SrmhdFacesBatch(benchmark::State& state) {
-  // The SRMHD face kernel shares the limiter with the SRHD one but stays
-  // scalar (its state maps are out of line): a regression guard for it.
+/// One row of n magnetized-blast-like primitive states in SRMHD PrimVar
+/// order: rho 1..1.5, p from the hot interior (~1) or the ambient (~0.01)
+/// gas, |v| up to 0.6 in the plane, a B field of about 0.1 along x plus a
+/// small random part, and a small psi.
+std::vector<std::vector<double>> blast_row(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::vector<std::vector<double>> w(srmhd::kNumVars, std::vector<double>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = 0.6 * u(rng);
+    const double phi = 2.0 * M_PI * u(rng);
+    w[srmhd::kRho][i] = 1.0 + 0.5 * u(rng);
+    w[srmhd::kVx][i] = v * std::cos(phi);
+    w[srmhd::kVy][i] = v * std::sin(phi);
+    w[srmhd::kVz][i] = 0.0;
+    w[srmhd::kP][i] = (u(rng) < 0.5 ? 1.0 : 0.01) * (1.0 + 0.1 * u(rng));
+    w[srmhd::kBx][i] = 0.1 + 0.02 * (2.0 * u(rng) - 1.0);
+    w[srmhd::kBy][i] = 0.02 * (2.0 * u(rng) - 1.0);
+    w[srmhd::kBz][i] = 0.0;
+    w[srmhd::kPsi][i] = 1e-3 * (2.0 * u(rng) - 1.0);
+  }
+  return w;
+}
+
+void BM_Con2PrimSrmhdBatch(benchmark::State& state) {
   const std::size_t n = 128;
   const bool simd = state.range(0) != 0;
-  const auto base = kh_row(n, 8);
-  std::vector<std::vector<double>> w(srmhd::kNumVars, std::vector<double>(n));
-  for (int v = 0; v < srhd::kNumVars; ++v) w[v] = base[v];
+  const auto w = blast_row(n, 9);
+  std::vector<std::vector<double>> u(srmhd::kNumVars, std::vector<double>(n));
+  using P = solver::SrmhdPhysics;
   for (std::size_t i = 0; i < n; ++i) {
-    w[srmhd::kBx][i] = 0.5;
-    w[srmhd::kBy][i] = 0.3;
+    double q[srmhd::kNumVars];
+    for (int v = 0; v < srmhd::kNumVars; ++v) q[v] = w[v][i];
+    P::cons_components(srmhd::prim_to_cons(P::prim_from_components(q), kEos),
+                       q);
+    for (int v = 0; v < srmhd::kNumVars; ++v) u[v][i] = q[v];
   }
-  const auto lp = row_ptrs(w);
+  std::vector<std::vector<double>> out(srmhd::kNumVars,
+                                       std::vector<double>(n));
+  const auto run = simd ? &srmhd::kernels::simd::cons_to_prim_n
+                        : &srmhd::kernels::scalar::cons_to_prim_n;
+  const srmhd::Con2PrimOptions opt;
+  for (auto _ : state) {
+    auto r = run(n, u[0].data(), u[1].data(), u[2].data(), u[3].data(),
+                 u[4].data(), u[5].data(), u[6].data(), u[7].data(),
+                 u[8].data(), out[0].data(), out[1].data(), out[2].data(),
+                 out[3].data(), out[4].data(), out[5].data(), out[6].data(),
+                 out[7].data(), out[8].data(), 5.0 / 3.0, opt);
+    benchmark::DoNotOptimize(r);
+    benchmark::DoNotOptimize(out[srmhd::kP].data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
+  state.SetLabel(simd ? "simd" : "scalar");
+}
+BENCHMARK(BM_Con2PrimSrmhdBatch)->Arg(0)->Arg(1);
+
+void BM_SrmhdFacesBatch(benchmark::State& state) {
+  const std::size_t n = 128;
+  const bool simd = state.range(0) != 0;
+  const auto wl = blast_row(n, 10);
+  const auto wr = blast_row(n, 11);
+  const auto lp = row_ptrs(wl);
+  const auto rp = row_ptrs(wr);
   std::vector<std::vector<double>> f(srmhd::kNumVars, std::vector<double>(n));
   std::vector<double*> fp;
   for (auto& v : f) fp.push_back(v.data());
@@ -230,7 +282,7 @@ void BM_SrmhdFacesBatch(benchmark::State& state) {
                         : &riemann::kernels::scalar::srmhd_faces_n;
   const srmhd::GlmParams glm;
   for (auto _ : state) {
-    run(n, 0, lp.data(), lp.data(), fp.data(), kEos, glm, 1e-14, 1e-16);
+    run(n, 0, lp.data(), rp.data(), fp.data(), kEos, glm, 1e-14, 1e-16);
     benchmark::DoNotOptimize(f[srmhd::kTau].data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);

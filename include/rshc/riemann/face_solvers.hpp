@@ -176,13 +176,25 @@ inline srhd::Cons hllc(const SrhdSide& l, const SrhdSide& r, int axis) {
   return select(sl >= 0.0, l.f, select(sr <= 0.0, r.f, f_star));
 }
 
-/// SRMHD HLL with the exact upwind GLM coupling for (B_n, psi). The heavy
-/// per-state maps (prim_to_cons / flux / fast_speeds) stay out-of-line in
-/// src/srmhd/state.cpp, so every caller gets the same bits by construction;
-/// only the combination arithmetic is inlined here.
-inline srmhd::Cons srmhd_hll(const srmhd::Prim& wl, const srmhd::Prim& wr,
-                             int axis, const eos::IdealGas& eos,
-                             const srmhd::GlmParams& glm) {
+/// Component-wise `c ? a : b`.
+[[gnu::always_inline]] inline srmhd::Cons select(bool c, const srmhd::Cons& a,
+                                                 const srmhd::Cons& b) {
+  return {c ? a.d : b.d,     c ? a.sx : b.sx, c ? a.sy : b.sy,
+          c ? a.sz : b.sz,   c ? a.tau : b.tau, c ? a.bx : b.bx,
+          c ? a.by : b.by,   c ? a.bz : b.bz, c ? a.psi : b.psi};
+}
+
+/// SRMHD HLL with the exact upwind GLM coupling for (B_n, psi) when kGlm,
+/// a zero psi flux otherwise. Branch-free like the SRHD cores, and forced
+/// inline with the state maps it calls (srmhd/state.hpp): the batched face
+/// row (src/riemann/faces_impl.inc) instantiates it per axis and per GLM
+/// setting, and only a fully inlined body lets GCC vectorize that loop.
+template <bool kGlm>
+[[gnu::always_inline]] inline srmhd::Cons srmhd_hll(const srmhd::Prim& wl,
+                                                    const srmhd::Prim& wr,
+                                                    int axis,
+                                                    const eos::IdealGas& eos,
+                                                    double ch) {
   const srmhd::Cons ul = srmhd::prim_to_cons(wl, eos);
   const srmhd::Cons ur = srmhd::prim_to_cons(wr, eos);
   const srmhd::Cons fl = srmhd::flux(wl, ul, axis, eos);
@@ -190,24 +202,17 @@ inline srmhd::Cons srmhd_hll(const srmhd::Prim& wl, const srmhd::Prim& wr,
   const srmhd::SignalSpeeds ssl = srmhd::fast_speeds(wl, axis, eos);
   const srmhd::SignalSpeeds ssr = srmhd::fast_speeds(wr, axis, eos);
 
-  const double sl = std::min({0.0, ssl.lambda_minus, ssr.lambda_minus});
-  const double sr = std::max({0.0, ssl.lambda_plus, ssr.lambda_plus});
+  const double sl =
+      std::min(std::min(0.0, ssl.lambda_minus), ssr.lambda_minus);
+  const double sr = std::max(std::max(0.0, ssl.lambda_plus), ssr.lambda_plus);
+  const double inv = 1.0 / (sr - sl);
+  const srmhd::Cons mid =
+      inv * ((sr * fl) + (-sl) * fr + (sl * sr) * (ur - ul));
+  srmhd::Cons f = select(sl >= 0.0, fl, select(sr <= 0.0, fr, mid));
 
-  srmhd::Cons f;
-  if (sl >= 0.0) {
-    f = fl;
-  } else if (sr <= 0.0) {
-    f = fr;
-  } else {
-    const double inv = 1.0 / (sr - sl);
-    f = inv * ((sr * fl) + (-sl) * fr + (sl * sr) * (ur - ul));
-  }
-
-  if (glm.enabled) {
-    const double bn_l = wl.b(axis);
-    const double bn_r = wr.b(axis);
+  if constexpr (kGlm) {
     const auto g =
-        srmhd::glm_interface_flux(bn_l, wl.psi, bn_r, wr.psi, glm.ch);
+        srmhd::glm_interface_flux(wl.b(axis), wl.psi, wr.b(axis), wr.psi, ch);
     switch (axis) {
       case 0: f.bx = g.flux_bn; break;
       case 1: f.by = g.flux_bn; break;
@@ -218,6 +223,15 @@ inline srmhd::Cons srmhd_hll(const srmhd::Prim& wl, const srmhd::Prim& wr,
     f.psi = 0.0;
   }
   return f;
+}
+
+/// The same solve with GLM chosen at run time (the per-interface entry
+/// point, riemann::solve_srmhd_hll).
+inline srmhd::Cons srmhd_hll(const srmhd::Prim& wl, const srmhd::Prim& wr,
+                             int axis, const eos::IdealGas& eos,
+                             const srmhd::GlmParams& glm) {
+  return glm.enabled ? srmhd_hll<true>(wl, wr, axis, eos, glm.ch)
+                     : srmhd_hll<false>(wl, wr, axis, eos, glm.ch);
 }
 
 }  // namespace rshc::riemann::detail

@@ -6,8 +6,8 @@
 // compiled in separate translation units:
 //   kernels::scalar — baseline flags (vectorization disabled)
 //   kernels::simd   — -O3 -march=native -fno-math-errno -fno-trapping-math;
-//                     the SRHD interface loop vectorizes (branch-free cores,
-//                     one interface per lane), the SRMHD loop stays scalar
+//                     the SRHD and SRMHD interface loops vectorize
+//                     (branch-free cores, one interface per lane)
 // Both carry -ffp-contract=off, so either variant is bitwise identical to
 // the per-interface solve_srhd / solve_srmhd_hll reference path.
 //

@@ -229,6 +229,7 @@ class FvSolver {
   void update_block(int b, time::StageCoeffs coeffs, double dt);
   void save_state();
   void post_step_all();
+  void merge_block_stats();
   void stage_serial(int stage, double dt);
   void step_device(double dt);
   parallel::TaskGraph& step_graph(int nsteps);

@@ -1,13 +1,15 @@
 #pragma once
 // Batched SoA kernels over SRMHD zone arrays — the host-pipeline (and
-// future offload) surface mirroring rshc/srhd/kernels.hpp. Same two-TU
+// offload) surface mirroring rshc/srhd/kernels.hpp. Same two-TU
 // compilation scheme:
 //   kernels::scalar — baseline flags (vectorization disabled)
-//   kernels::simd   — -O3 (-march=native), loops annotated for vectorization
-// The branch-heavy per-zone work (1D-W Newton c2p, fast-speed bound) lives
-// in src/srmhd/{con2prim,state}.cpp compiled once with default flags, so
-// both variants and the per-zone physics functions are bitwise identical
-// by construction; the batched win is data movement, not arithmetic.
+//   kernels::simd   — -O3 -march=native -fno-math-errno -fno-trapping-math;
+//                     the loops vectorize, cons_to_prim_n included (a
+//                     lane-masked bracket expansion and Newton solve over
+//                     groups of 8 zones)
+// Both run the header-inline, branch-free per-zone physics
+// (srmhd/con2prim.hpp, srmhd/state.hpp) with -ffp-contract=off, so they
+// are bitwise identical to cons_to_prim and max_signal_speed.
 
 #include <cstddef>
 

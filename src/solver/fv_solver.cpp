@@ -344,8 +344,23 @@ void FvSolver<Physics>::post_step_all() {
     Physics::post_step(blk.cons(), blk.prim(), opt_.physics, current_dt_,
                        grid_.min_dx());
   }
-  for (const auto& bs : block_stats_) stats_ += bs;
-  for (auto& bs : block_stats_) bs = {};
+  merge_block_stats();
+}
+
+// Folds the per-block c2p counters into the solver total and publishes the
+// step's share as the solver.c2p.iterations / solver.c2p.floored_zones
+// registry counters, so a run report shows the Newton work and the floor
+// hits next to the phase times.
+template <typename Physics>
+void FvSolver<Physics>::merge_block_stats() {
+  C2PStats merged;
+  for (auto& bs : block_stats_) {
+    merged += bs;
+    bs = {};
+  }
+  stats_ += merged;
+  RSHC_OBS_COUNT("solver.c2p.iterations", merged.total_iterations);
+  RSHC_OBS_COUNT("solver.c2p.floored_zones", merged.floored_zones);
 }
 
 template <typename Physics>
@@ -437,8 +452,7 @@ void FvSolver<Physics>::step_device(double dt) {
   }
   device_->post_step(dt, grid_.min_dx());
   device_->synchronize();
-  for (const auto& bs : block_stats_) stats_ += bs;
-  for (auto& bs : block_stats_) bs = {};
+  merge_block_stats();
   time_ += dt;
 }
 
@@ -652,8 +666,7 @@ void FvSolver<Physics>::run_steps_dataflow(int nsteps, double dt,
   // save_state happens inside the first-stage E nodes (per block).
   step_graph(nsteps).run(pool);
   // post_step is folded into the last-stage K nodes.
-  for (const auto& bs : block_stats_) stats_ += bs;
-  for (auto& bs : block_stats_) bs = {};
+  merge_block_stats();
   time_ += dt * nsteps;
   steps_taken_ += nsteps;
 #if RSHC_OBS_ENABLED

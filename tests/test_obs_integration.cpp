@@ -2,8 +2,10 @@
 // a traced shock-tube step must produce the expected phase spans in the
 // expected order, registry phase times must nest inside the step total,
 // a dataflow run must show halo exchange overlapping compute on another
-// thread, and a four-rank distributed run must export a structurally valid
-// Chrome trace with rank-labeled processes and paired send->recv flows.
+// thread, a four-rank distributed run must export a structurally valid
+// Chrome trace with rank-labeled processes and paired send->recv flows, and
+// the c2p work counters must match the solver's own totals on every
+// stepping path.
 
 #include <gtest/gtest.h>
 
@@ -441,6 +443,75 @@ TEST_F(ObsIntegration, MaybeDumpCreatesMissingOutputDirectory) {
   EXPECT_TRUE(saw_timer);
   std::filesystem::remove_all(dir);
 }
+
+// --- c2p work counters -----------------------------------------------------
+
+enum class StepPath { kSerial, kBulkParallel, kDataflowParallel, kDevice };
+
+std::string step_path_name(const ::testing::TestParamInfo<StepPath>& info) {
+  switch (info.param) {
+    case StepPath::kSerial: return "Serial";
+    case StepPath::kBulkParallel: return "BulkStepParallel";
+    case StepPath::kDataflowParallel: return "DataflowStepParallel";
+    case StepPath::kDevice: return "Device";
+  }
+  return "Unknown";
+}
+
+class C2PCounters : public ObsIntegration,
+                    public ::testing::WithParamInterface<StepPath> {};
+
+// The solver.c2p.iterations and solver.c2p.floored_zones counters carry
+// exactly the solver's c2p_stats() on every stepping path, so a run report
+// alone shows the Newton work and the floor hits.
+TEST_P(C2PCounters, MatchSolverStatsAfterSteps) {
+  solver::SrmhdSolver::Options opt;
+  opt.recon = recon::Method::kPLMMC;
+  opt.bc = mesh::BoundarySpec::all(mesh::BcType::kOutflow);
+  opt.blocks = {2, 2, 1};
+  // A starved Newton solve floors some zones, so both counters move.
+  opt.physics.c2p.max_iterations = 2;
+  if (GetParam() == StepPath::kDevice) {
+    opt.pipeline = solver::HostPipeline::kDevice;
+    opt.accel = {0.0, std::numeric_limits<double>::infinity(), 0.0};
+  }
+  solver::SrmhdSolver s(mesh::Grid::make_2d(32, 32, -1.0, 1.0, -1.0, 1.0),
+                        opt);
+  s.initialize(problems::mhd_blast2d_ic({}));
+  const double dt = 0.5 * s.compute_dt();
+  parallel::ThreadPool pool(2);
+  constexpr int kSteps = 3;
+  for (int i = 0; i < kSteps; ++i) {
+    switch (GetParam()) {
+      case StepPath::kSerial:
+      case StepPath::kDevice:
+        s.step(dt);
+        break;
+      case StepPath::kBulkParallel:
+        s.step_parallel(dt, pool, /*dataflow=*/false);
+        break;
+      case StepPath::kDataflowParallel:
+        s.step_parallel(dt, pool, /*dataflow=*/true);
+        break;
+    }
+  }
+
+  const solver::C2PStats& stats = s.c2p_stats();
+  EXPECT_GT(stats.total_iterations, 0);
+  EXPECT_GT(stats.floored_zones, 0);
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  EXPECT_EQ(snap.value_or("solver.c2p.iterations"),
+            static_cast<double>(stats.total_iterations));
+  EXPECT_EQ(snap.value_or("solver.c2p.floored_zones"),
+            static_cast<double>(stats.floored_zones));
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, C2PCounters,
+                         ::testing::Values(StepPath::kSerial,
+                                           StepPath::kBulkParallel,
+                                           StepPath::kDataflowParallel,
+                                           StepPath::kDevice),
+                         step_path_name);
 
 }  // namespace
 
