@@ -3,7 +3,10 @@
 
 #include <cstddef>
 #include <cstdlib>
+#include <limits>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace rshc {
@@ -35,6 +38,18 @@ struct AlignedAllocator {
   }
   void deallocate(T* p, std::size_t) noexcept { std::free(p); }
 
+  /// Default-initialize rather than value-initialize: a sized
+  /// aligned_vector<double>(n) or resize(n) leaves the doubles unwritten.
+  /// Pass the value to fill with, as in aligned_vector<double>(n, 0.0).
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
   template <typename U>
   bool operator==(const AlignedAllocator<U, Align>&) const noexcept {
     return true;
@@ -47,8 +62,22 @@ struct AlignedAllocator {
 };
 
 /// Vector whose data() is 64-byte aligned — the storage type for all field
-/// arrays so vectorized kernels can assume alignment.
+/// arrays so vectorized kernels can assume alignment. Sized construction
+/// without a fill value default-initializes (see AlignedAllocator).
 template <typename T>
 using aligned_vector = std::vector<T, AlignedAllocator<T>>;
+
+/// `n` doubles for an array its owner always writes before it reads (the
+/// RK reference state, the rhs accumulator, the rhs tile scratch). They
+/// are left unwritten, so no page is touched until first use. Checked
+/// builds (RSHC_CHECKS_ENABLED) fill them with quiet NaN instead, so a
+/// read before the first write surfaces at the next state check.
+[[nodiscard]] inline aligned_vector<double> unfilled_doubles(std::size_t n) {
+#if RSHC_CHECKS_ENABLED
+  return aligned_vector<double>(n, std::numeric_limits<double>::quiet_NaN());
+#else
+  return aligned_vector<double>(n);
+#endif
+}
 
 }  // namespace rshc

@@ -14,10 +14,12 @@ namespace rshc {
   return (x > 0.0) - (x < 0.0);
 }
 
+// The limiters are single select expressions, so a loop that calls them
+// if-converts and vectorizes (src/recon/reconstruct.cpp).
+
 /// minmod limiter of two arguments.
 [[nodiscard]] constexpr double minmod(double a, double b) {
-  if (a * b <= 0.0) return 0.0;
-  return std::abs(a) < std::abs(b) ? a : b;
+  return a * b <= 0.0 ? 0.0 : (std::abs(a) < std::abs(b) ? a : b);
 }
 
 /// minmod limiter of three arguments.
@@ -30,11 +32,13 @@ namespace rshc {
   return minmod3(0.5 * (dqm + dqp), 2.0 * dqm, 2.0 * dqp);
 }
 
-/// van Leer (harmonic) limited slope from left/right differences.
+/// van Leer (harmonic) limited slope from left/right differences. The
+/// quotient is formed unconditionally and discarded where prod <= 0 (where
+/// dqm + dqp may be zero): no value changes, and the select needs no branch.
 [[nodiscard]] inline double van_leer_slope(double dqm, double dqp) {
   const double prod = dqm * dqp;
-  if (prod <= 0.0) return 0.0;
-  return 2.0 * prod / (dqm + dqp);
+  const double harmonic = 2.0 * prod / (dqm + dqp);
+  return prod <= 0.0 ? 0.0 : harmonic;
 }
 
 /// Relative difference |a-b| / max(|a|,|b|,floor).

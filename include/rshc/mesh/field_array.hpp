@@ -86,6 +86,18 @@ class FieldArray {
     RSHC_REQUIRE(nvar >= 1 && nk >= 1 && nj >= 1 && ni >= 1,
                  "field array extents must be positive");
   }
+  /// Same extents, storage left unwritten (unfilled_doubles): for arrays
+  /// the owner always writes before it reads.
+  struct NoFill {};
+  FieldArray(int nvar, int nk, int nj, int ni, NoFill)
+      : nvar_(nvar), nk_(nk), nj_(nj), ni_(ni),
+        data_(unfilled_doubles(static_cast<std::size_t>(nvar) *
+                               static_cast<std::size_t>(nk) *
+                               static_cast<std::size_t>(nj) *
+                               static_cast<std::size_t>(ni))) {
+    RSHC_REQUIRE(nvar >= 1 && nk >= 1 && nj >= 1 && ni >= 1,
+                 "field array extents must be positive");
+  }
 
   [[nodiscard]] int nvar() const { return nvar_; }
   [[nodiscard]] int nk() const { return nk_; }

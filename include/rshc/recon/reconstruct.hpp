@@ -9,6 +9,7 @@
 // linear with minmod / MC / van Leer limiters, PPM (Colella & Woodward
 // 1984), and WENO5 (Jiang & Shu 1996).
 
+#include <cstddef>
 #include <span>
 #include <string_view>
 
@@ -40,26 +41,23 @@ enum class Method {
 void reconstruct(Method m, std::span<const double> q, std::span<double> ql,
                  std::span<double> qr);
 
-/// Per-pencil kernel of one scheme, resolvable once per run so batched
-/// callers hoist the method dispatch out of their hot loops. The returned
-/// function is the exact same code `reconstruct` dispatches to, so results
-/// are bitwise identical to the span overload.
-using PencilKernel = void (*)(std::span<const double> q, std::span<double> ql,
-                              std::span<double> qr);
-[[nodiscard]] PencilKernel pencil_kernel(Method m);
-
-/// Reconstruct `nrows` independent pencils of length `n` in one call (one
-/// plane of a block). Pencil r reads q + r*qstride and writes
-/// ql/qr + r*face_stride; strides are in elements and rows may alias
-/// nothing. Dispatch is resolved once for the whole batch.
+/// Reconstruct `nrows` independent pencils of length `n` in one call,
+/// along each row (one plane of a block, or the x pencils of a tile).
+/// Pencil r reads q + r*qstride and writes ql/qr + r*face_stride; strides
+/// are in elements and rows may alias nothing. The method is dispatched
+/// once for the whole batch.
 void reconstruct_rows(Method m, std::size_t nrows, std::size_t n,
                       const double* q, std::size_t qstride, double* ql,
                       double* qr, std::size_t face_stride);
-/// Same, with the scheme already resolved via pencil_kernel (callers that
-/// batch many planes hoist even the one switch per plane).
-void reconstruct_rows(PencilKernel fn, std::size_t nrows, std::size_t n,
-                      const double* q, std::size_t qstride, double* ql,
-                      double* qr, std::size_t face_stride);
+
+/// Reconstruct `lanes` side-by-side pencils of length `n` across the
+/// pencils: cell i of pencil t is q[i*qstride + t] and its faces land at
+/// ql/qr[i*face_stride + t]. Each pencil is one SIMD lane, so strided
+/// pencils (the y and z axes of an SoA slab) are read in place without a
+/// gather. Bitwise the same faces as reconstruct_rows on each pencil.
+void reconstruct_lanes(Method m, std::size_t lanes, std::size_t n,
+                       const double* q, std::size_t qstride, double* ql,
+                       double* qr, std::size_t face_stride);
 
 /// Formal order of accuracy on smooth solutions (for convergence tables).
 [[nodiscard]] int formal_order(Method m);

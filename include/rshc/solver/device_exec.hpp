@@ -35,7 +35,7 @@ class DeviceExec {
 
   /// `blocks` is the solver's host mirror; it must outlive this object.
   DeviceExec(const mesh::Grid& grid, std::vector<mesh::Block>& blocks,
-             const Context& ctx, recon::PencilKernel recon_fn,
+             const Context& ctx, recon::Method recon,
              device::AccelModel model);
   ~DeviceExec();
 
@@ -85,7 +85,7 @@ class DeviceExec {
   const mesh::Grid* grid_;
   std::vector<mesh::Block>* blocks_;
   Context ctx_;
-  recon::PencilKernel recon_fn_;
+  recon::Method recon_;
   std::unique_ptr<device::Device> dev_;
   device::StreamId compute_ = device::kDefaultStream;
   device::StreamId transfer_ = device::kDefaultStream;

@@ -239,6 +239,8 @@ class FvSolver {
   int ng_;
   mesh::Decomposition decomp_;
   std::vector<mesh::Block> blocks_;
+  // Both are written before they are read (save_state, the rhs's zero_du
+  // box), so they are allocated FieldArray::NoFill.
   std::vector<mesh::FieldArray> u0_;  // RK reference state
   std::vector<mesh::FieldArray> du_;  // flux-difference accumulator
   std::vector<std::unique_ptr<Scratch>> scratch_;
@@ -246,7 +248,6 @@ class FvSolver {
   std::function<void(int)> ghost_filler_;
   std::function<void(int)> overlap_begin_;
   std::function<void(int, const FaceReadyFn&)> overlap_finish_;
-  recon::PencilKernel recon_fn_ = nullptr;  // opt_.recon, resolved once
   bool restricted_ = false;
   C2PStats stats_;
   double time_ = 0.0;

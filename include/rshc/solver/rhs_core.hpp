@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "rshc/common/aligned.hpp"
 #include "rshc/mesh/block.hpp"
 #include "rshc/mesh/grid.hpp"
 #include "rshc/recon/reconstruct.hpp"
@@ -26,9 +27,10 @@
 
 namespace rshc::solver::core {
 
-/// Pencils reconstructed per batched tile. Bounds the transpose/flux
-/// staging working set to kTileRows * max_extent per variable (a few
-/// hundred KiB — cache-resident) independent of block size.
+/// Pencils per batched tile. Bounds the face/flux staging working set to
+/// kTileRows * max_extent doubles per variable (a few hundred KiB, cache
+/// resident) independent of block size, and is the plane stride of the
+/// y/z tile layout (see BatchScratch).
 inline constexpr int kTileRows = 32;
 
 /// Geometry of one ghosted block, decoupled from mesh::Block. Axis order
@@ -61,23 +63,33 @@ struct BlockShape {
 [[nodiscard]] BlockShape shape_of(const mesh::Block& blk,
                                   const mesh::Grid& grid);
 
-/// Batched tile work arrays: [var][row * max_extent + pencil index].
+/// Batched tile work arrays, one per primitive (face states) or
+/// conserved (fluxes) variable, each kTileRows * max_extent doubles. A
+/// tile is up to kTileRows pencils along one axis; entry (t, f) is pencil
+/// t at pencil index f:
+///   - x axis, row-major [t][f] at t * total[0] + f: each pencil is a
+///     contiguous slab row, reconstructed along the row;
+///   - y/z axes, plane-major [f][t] at f * kTileRows + t: the pencils are
+///     adjacent x cells of the slab, reconstructed across the pencils
+///     (one SIMD lane each) straight from the slab rows, and every
+///     interface plane f is a unit-stride row of the tile's lanes.
+/// The arrays are unfilled_doubles (aligned.hpp): the rhs writes every
+/// entry it reads, so setup touches none of their pages, and checked
+/// builds poison them with quiet NaN.
 template <typename Physics>
 struct BatchScratch {
-  std::array<std::vector<double>, Physics::kNumPrim> tq;
-  std::array<std::vector<double>, Physics::kNumPrim> tql;
-  std::array<std::vector<double>, Physics::kNumPrim> tqr;
-  std::array<std::vector<double>, Physics::kNumCons> tfl;
+  std::array<aligned_vector<double>, Physics::kNumPrim> tql;
+  std::array<aligned_vector<double>, Physics::kNumPrim> tqr;
+  std::array<aligned_vector<double>, Physics::kNumCons> tfl;
 
   explicit BatchScratch(int max_extent) {
     const std::size_t tlen = static_cast<std::size_t>(kTileRows) *
                              static_cast<std::size_t>(max_extent);
     for (int v = 0; v < Physics::kNumPrim; ++v) {
-      tq[v].resize(tlen);
-      tql[v].resize(tlen);
-      tqr[v].resize(tlen);
+      tql[v] = unfilled_doubles(tlen);
+      tqr[v] = unfilled_doubles(tlen);
     }
-    for (int v = 0; v < Physics::kNumCons; ++v) tfl[v].resize(tlen);
+    for (auto& a : tfl) a = unfilled_doubles(tlen);
   }
 };
 
@@ -96,7 +108,7 @@ struct BatchScratch {
 template <typename Physics>
 void rhs_batched_range(const BlockShape& sh,
                        const typename Physics::Context& ctx,
-                       recon::PencilKernel recon_fn, const double* w,
+                       recon::Method method, const double* w,
                        double* du, BatchScratch<Physics>& s, int block_id,
                        const std::array<int, 3>& lo,
                        const std::array<int, 3>& hi, bool zero_du);

@@ -97,9 +97,9 @@ template <typename Physics>
 DeviceExec<Physics>::DeviceExec(const mesh::Grid& grid,
                                 std::vector<mesh::Block>& blocks,
                                 const Context& ctx,
-                                recon::PencilKernel recon_fn,
+                                recon::Method recon,
                                 device::AccelModel model)
-    : grid_(&grid), blocks_(&blocks), ctx_(ctx), recon_fn_(recon_fn) {
+    : grid_(&grid), blocks_(&blocks), ctx_(ctx), recon_(recon) {
   dev_ = device::make_device(device::Backend::kAccelSim, model);
   compute_ = device::kDefaultStream;
   transfer_ = dev_->create_stream();
@@ -215,7 +215,7 @@ void DeviceExec<Physics>::stage(double ca, double cb, double cdt,
     dev_->launch(
         [this, a, b] {
           core::rhs_batched_range<Physics>(
-              a->shape, ctx_, recon_fn_, a->prim.device_view().data(),
+              a->shape, ctx_, recon_, a->prim.device_view().data(),
               a->du.device_view().data(), a->scratch, static_cast<int>(b),
               a->shape.begin, a->shape.end, /*zero_du=*/true);
         },

@@ -40,9 +40,9 @@ double heartbeat_zone_rate(const std::vector<mesh::Block>& blocks,
 #endif
 
 // Per-block work arrays, sized once for the longest axis: the rhs
-// reconstructs core::kTileRows pencils per call through the shared
-// BatchScratch tiles (rhs_core.hpp), which the device pipeline allocates
-// per arena as well.
+// reconstructs up to core::kTileRows pencils per call into the shared
+// BatchScratch tiles (rhs_core.hpp; allocated unfilled), which the device
+// pipeline allocates per arena as well.
 template <typename Physics>
 struct FvSolver<Physics>::Scratch {
   core::BatchScratch<Physics> batch;
@@ -72,15 +72,14 @@ FvSolver<Physics>::FvSolver(const mesh::Grid& grid, Options opt)
                    "block too small for reconstruction stencil");
     }
     u0_.emplace_back(Physics::kNumCons, blk.total(2), blk.total(1),
-                     blk.total(0));
+                     blk.total(0), mesh::FieldArray::NoFill{});
     du_.emplace_back(Physics::kNumCons, blk.total(2), blk.total(1),
-                     blk.total(0));
+                     blk.total(0), mesh::FieldArray::NoFill{});
     const int max_extent =
         std::max({blk.total(0), blk.total(1), blk.total(2)});
     scratch_.push_back(std::make_unique<Scratch>(max_extent));
   }
   block_stats_.resize(static_cast<std::size_t>(nb));
-  recon_fn_ = recon::pencil_kernel(opt_.recon);
 }
 
 template <typename Physics>
@@ -99,13 +98,12 @@ FvSolver<Physics>::FvSolver(const mesh::Grid& grid, Options opt,
                  "rank block too small for reconstruction stencil");
   }
   u0_.emplace_back(Physics::kNumCons, blk.total(2), blk.total(1),
-                   blk.total(0));
+                   blk.total(0), mesh::FieldArray::NoFill{});
   du_.emplace_back(Physics::kNumCons, blk.total(2), blk.total(1),
-                   blk.total(0));
+                   blk.total(0), mesh::FieldArray::NoFill{});
   scratch_.push_back(std::make_unique<Scratch>(
       std::max({blk.total(0), blk.total(1), blk.total(2)})));
   block_stats_.resize(1);
-  recon_fn_ = recon::pencil_kernel(opt_.recon);
 }
 
 template <typename Physics>
@@ -184,7 +182,7 @@ void FvSolver<Physics>::compute_rhs_range(int b, const std::array<int, 3>& lo,
                                           bool zero_du) {
   mesh::Block& blk = blocks_[static_cast<std::size_t>(b)];
   core::rhs_batched_range<Physics>(
-      core::shape_of(blk, grid_), opt_.physics, recon_fn_,
+      core::shape_of(blk, grid_), opt_.physics, opt_.recon,
       blk.prim().flat().data(), du_[static_cast<std::size_t>(b)].flat().data(),
       scratch_[static_cast<std::size_t>(b)]->batch, b, lo, hi, zero_du);
 }
@@ -441,7 +439,7 @@ void FvSolver<Physics>::step_device(double dt) {
   current_dt_ = dt;
   if (!device_) {
     device_ = std::make_unique<DeviceExec<Physics>>(
-        grid_, blocks_, opt_.physics, recon_fn_, opt_.accel);
+        grid_, blocks_, opt_.physics, opt_.recon, opt_.accel);
   }
   device_->ensure_resident();
   device_->save_state();

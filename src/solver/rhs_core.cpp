@@ -23,12 +23,14 @@ BlockShape shape_of(const mesh::Block& blk, const mesh::Grid& grid) {
 
 // Batched rhs: the per-pencil reference arithmetic (the oracle in
 // tests/support/pencil_reference.hpp), reorganized for data movement. Per
-// axis, pencils are processed in tiles of kTileRows rows: the x axis
-// reconstructs straight from the contiguous variable slabs (zero gather);
-// y/z tiles gather through a transpose whose inner copies are unit-stride
-// reads. The batched face kernels run the same per-interface Riemann
-// cores; flux components are staged per tile so du accumulation runs as
-// fused span loops preserving the reference's per-cell add order (+left
+// axis, pencils are processed in tiles of up to kTileRows pencils, laid out
+// as BatchScratch describes. The x axis reconstructs along the contiguous
+// slab rows; the y/z axes reconstruct across the tile's pencils, one SIMD
+// lane per pencil, straight from the slab rows (no gather). Either way the
+// method is dispatched once per tile and variable, and every cell runs the
+// same per-cell body. The batched face kernels then run once per pencil
+// (x) or once per interface plane over the tile's lanes (y/z), and the du
+// accumulation preserves the reference's per-cell add order (+left
 // interface first, then -right) and expression shapes — bitwise
 // identical. This single compiled instantiation also serves as the device
 // kernel body, so the device pipeline inherits the same bits by
@@ -36,13 +38,14 @@ BlockShape shape_of(const mesh::Block& blk, const mesh::Grid& grid) {
 template <typename Physics>
 void rhs_batched_range(const BlockShape& sh,
                        const typename Physics::Context& ctx,
-                       recon::PencilKernel recon_fn, const double* w,
-                       double* du, BatchScratch<Physics>& s,
+                       recon::Method method, const double* w, double* du,
+                       BatchScratch<Physics>& s,
                        [[maybe_unused]] int block_id,
                        const std::array<int, 3>& lo,
                        const std::array<int, 3>& hi, bool zero_du) {
   using Prim = typename Physics::Prim;
   using Cons = typename Physics::Cons;
+  constexpr auto K = static_cast<std::size_t>(kTileRows);
   const std::size_t cells = sh.cells();
   if (zero_du) {
     std::fill(du, du + static_cast<std::size_t>(Physics::kNumCons) * cells,
@@ -64,6 +67,7 @@ void rhs_batched_range(const BlockShape& sh,
   for (int axis = 0; axis < sh.ndim; ++axis) {
     const double inv_dx = sh.inv_dx[static_cast<std::size_t>(axis)];
     const double neg_inv_dx = -inv_dx;
+    const bool along = axis == 0;  // x: along rows; y/z: across pencils
     const int n = sh.total[static_cast<std::size_t>(axis)];
     const auto un = static_cast<std::size_t>(n);
     int a1 = -1;
@@ -87,67 +91,76 @@ void rhs_batched_range(const BlockShape& sh,
     const int radius = sh.begin[static_cast<std::size_t>(axis)] - 1;
     const int ws = fb - 1 - radius;
     const int we = fe + 1 + radius;
-    const auto uws = static_cast<std::size_t>(ws);
     const auto uwin = static_cast<std::size_t>(we - ws);
+    const auto nif = static_cast<std::size_t>(fe - fb + 1);
+    // Tile entry of pencil t at pencil index f (BatchScratch layout).
+    auto at = [&](int t, int f) {
+      return along ? static_cast<std::size_t>(t) * un +
+                         static_cast<std::size_t>(f)
+                   : static_cast<std::size_t>(f) * K +
+                         static_cast<std::size_t>(t);
+    };
+    // Slab offset of (pencil index f, first pencil t10) and the slab
+    // distance between consecutive f on the strided axes.
+    auto cell = [&](int t2, int t10, int f) {
+      return axis == 0   ? sh.cell_index(t2, t10, f)
+             : axis == 1 ? sh.cell_index(t2, f, t10)
+                         : sh.cell_index(f, t2, t10);
+    };
+    const std::size_t pstride =
+        axis == 1 ? static_cast<std::size_t>(sh.total[0])
+                  : static_cast<std::size_t>(sh.total[0]) *
+                        static_cast<std::size_t>(sh.total[1]);
 
     for (int t2 = b2; t2 < e2; ++t2) {
       for (int t10 = b1; t10 < e1; t10 += kTileRows) {
         const int rows = std::min(kTileRows, e1 - t10);
         const auto urows = static_cast<std::size_t>(rows);
 
-        // Gather + reconstruct one tile of pencils per variable, with the
-        // method dispatch already resolved to recon_fn. Faces land at
-        // their absolute pencil offsets (tile arrays keep stride un), so
-        // the staging below indexes identically for any window.
+        // Reconstruct one tile per variable. Faces land at their absolute
+        // pencil index in the tile, so the staging below indexes
+        // identically for any window.
         for (int v = 0; v < Physics::kNumPrim; ++v) {
-          if (axis == 0) {
-            const double* src = wvar(v) + sh.cell_index(t2, t10, ws);
-            recon::reconstruct_rows(recon_fn, urows, uwin, src, un,
-                                    s.tql[v].data() + uws,
-                                    s.tqr[v].data() + uws, un);
+          const double* src = wvar(v) + cell(t2, t10, ws);
+          double* ql = s.tql[v].data() + at(0, ws);
+          double* qr = s.tqr[v].data() + at(0, ws);
+          if (along) {
+            recon::reconstruct_rows(method, urows, uwin, src, un, ql, qr, un);
           } else {
-            const double* wv = wvar(v);
-            double* tq = s.tq[v].data();
-            for (int f = ws; f < we; ++f) {
-              const double* src = wv + (axis == 1 ? sh.cell_index(t2, f, t10)
-                                                  : sh.cell_index(f, t2, t10));
-              for (int t = 0; t < rows; ++t) {
-                tq[static_cast<std::size_t>(t) * un +
-                   static_cast<std::size_t>(f)] = src[t];
-              }
-            }
-            recon::reconstruct_rows(recon_fn, urows, uwin, tq + uws, un,
-                                    s.tql[v].data() + uws,
-                                    s.tqr[v].data() + uws, un);
+            recon::reconstruct_lanes(method, urows, uwin, src, pstride, ql,
+                                     qr, K);
           }
         }
 
         // Limiter + Riemann solve + flux for the tile's interfaces. The
-        // fast path hands whole face-state rows to the batched face
-        // kernels (riemann/kernels.hpp) — one call per pencil, everything
-        // inlined. The per-interface loop below stays as the fallback for
-        // the exact solver and for checks-enabled builds, where the
-        // checker wants zone provenance at the failing interface.
+        // fast path hands unit-stride face-state lines to the batched face
+        // kernels (riemann/kernels.hpp): one call per pencil on x (nif
+        // interfaces), one per interface plane on y/z (rows lanes). The
+        // per-interface loop below stays as the fallback for the exact
+        // solver and for checks-enabled builds, where the checker wants
+        // zone provenance at the failing interface.
         bool staged = false;
 #if !RSHC_CHECKS_ENABLED
         {
-          const auto nif = static_cast<std::size_t>(fe - fb + 1);
+          const std::size_t nlines = along ? urows : nif;
+          const std::size_t len = along ? nif : urows;
           const double* wlp[Physics::kNumPrim];
           const double* wrp[Physics::kNumPrim];
           double* flp[Physics::kNumCons];
           staged = true;
-          for (int t = 0; t < rows && staged; ++t) {
-            const std::size_t off = static_cast<std::size_t>(t) * un +
-                                    static_cast<std::size_t>(fb) - 1;
+          for (std::size_t line = 0; line < nlines && staged; ++line) {
+            const auto l = static_cast<int>(line);
+            const std::size_t off = along ? at(l, fb - 1) : at(0, fb - 1 + l);
+            const std::size_t next = along ? off + 1 : off + K;
             for (int v = 0; v < Physics::kNumPrim; ++v) {
               wlp[v] = s.tqr[v].data() + off;
-              wrp[v] = s.tql[v].data() + off + 1;
+              wrp[v] = s.tql[v].data() + next;
             }
             for (int v = 0; v < Physics::kNumCons; ++v) {
               flp[v] = s.tfl[v].data() + off;
             }
             staged =
-                Physics::interface_flux_n(true, nif, axis, wlp, wrp, flp, ctx);
+                Physics::interface_flux_n(true, len, axis, wlp, wrp, flp, ctx);
           }
         }
 #endif
@@ -155,15 +168,15 @@ void rhs_batched_range(const BlockShape& sh,
           double comp[Physics::kNumPrim];
           double fc[Physics::kNumCons];
           for (int t = 0; t < rows; ++t) {
-            const std::size_t row = static_cast<std::size_t>(t) * un;
             for (int f = fb - 1; f < fe; ++f) {
-              const std::size_t uf = row + static_cast<std::size_t>(f);
+              const std::size_t uf = at(t, f);
+              const std::size_t uf1 = at(t, f + 1);
               for (int v = 0; v < Physics::kNumPrim; ++v) {
                 comp[v] = s.tqr[v][uf];
               }
               Prim wl = Physics::prim_from_components(comp);
               for (int v = 0; v < Physics::kNumPrim; ++v) {
-                comp[v] = s.tql[v][uf + 1];
+                comp[v] = s.tql[v][uf1];
               }
               Prim wr = Physics::prim_from_components(comp);
               Physics::limit_face_state(wl, ctx);
@@ -190,31 +203,28 @@ void rhs_batched_range(const BlockShape& sh,
         }
 
         // Accumulate flux differences. Each interior cell takes + its left
-        // interface flux then - its right one in a single pass.
-        if (axis == 0) {
+        // interface flux then - its right one in a single pass; on every
+        // axis the inner loop reads the fluxes unit-stride.
+        if (along) {
           for (int t = 0; t < rows; ++t) {
             for (int v = 0; v < Physics::kNumCons; ++v) {
               double* d = dvar(v) + sh.cell_index(t2, t10 + t, 0);
-              const double* fl =
-                  s.tfl[v].data() + static_cast<std::size_t>(t) * un;
+              const double* fl = s.tfl[v].data() + at(t, 0);
               for (int f = fb; f < fe; ++f) {
                 d[f] = (d[f] + inv_dx * fl[f - 1]) + neg_inv_dx * fl[f];
               }
             }
           }
         } else {
-          // Strided axes flip the nesting: for a fixed pencil index f the
-          // du addresses across rows are unit-stride.
+          // For a fixed pencil index f the du addresses across the tile's
+          // pencils are unit-stride, like the plane-major fluxes.
           for (int v = 0; v < Physics::kNumCons; ++v) {
-            const double* fl = s.tfl[v].data();
             for (int f = fb; f < fe; ++f) {
-              double* d = dvar(v) + (axis == 1 ? sh.cell_index(t2, f, t10)
-                                               : sh.cell_index(f, t2, t10));
-              const auto uf = static_cast<std::size_t>(f);
+              double* d = dvar(v) + cell(t2, t10, f);
+              const double* left = s.tfl[v].data() + at(0, f - 1);
+              const double* right = s.tfl[v].data() + at(0, f);
               for (int t = 0; t < rows; ++t) {
-                const std::size_t row = static_cast<std::size_t>(t) * un;
-                d[t] = (d[t] + inv_dx * fl[row + uf - 1]) +
-                       neg_inv_dx * fl[row + uf];
+                d[t] = (d[t] + inv_dx * left[t]) + neg_inv_dx * right[t];
               }
             }
           }
@@ -324,11 +334,11 @@ void post_step_slabs<SrmhdPhysics>(const BlockShape& sh,
 }
 
 template void rhs_batched_range<SrhdPhysics>(
-    const BlockShape&, const SrhdPhysics::Context&, recon::PencilKernel,
+    const BlockShape&, const SrhdPhysics::Context&, recon::Method,
     const double*, double*, BatchScratch<SrhdPhysics>&, int,
     const std::array<int, 3>&, const std::array<int, 3>&, bool);
 template void rhs_batched_range<SrmhdPhysics>(
-    const BlockShape&, const SrmhdPhysics::Context&, recon::PencilKernel,
+    const BlockShape&, const SrmhdPhysics::Context&, recon::Method,
     const double*, double*, BatchScratch<SrmhdPhysics>&, int,
     const std::array<int, 3>&, const std::array<int, 3>&, bool);
 template void update_batched<SrhdPhysics>(const BlockShape&,

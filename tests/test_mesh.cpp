@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -60,6 +61,18 @@ TEST(FieldArray, FillSetsEverything) {
   FieldArray f(2, 1, 3, 3);
   f.fill(2.5);
   for (const double v : f.flat()) EXPECT_DOUBLE_EQ(v, 2.5);
+}
+
+TEST(FieldArray, ZeroFilledUnlessNoFillAndPoisonedInCheckedBuilds) {
+  const FieldArray zeroed(2, 1, 3, 3);
+  for (const double v : zeroed.flat()) EXPECT_EQ(v, 0.0);
+  const FieldArray unfilled(2, 1, 3, 3, FieldArray::NoFill{});
+  EXPECT_EQ(unfilled.size(), zeroed.size());
+#if RSHC_CHECKS_ENABLED
+  // A read before the first write must surface as a NaN in the state
+  // checks, so checked builds poison the storage.
+  for (const double v : unfilled.flat()) EXPECT_TRUE(std::isnan(v));
+#endif
 }
 
 TEST(FieldArray, PackUnpackBoxRoundTripsEveryCell) {

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numbers>
 #include <random>
 #include <vector>
 
 #include "rshc/common/error.hpp"
 #include "rshc/recon/reconstruct.hpp"
+#include "support/recon_reference.hpp"
 
 namespace {
 
@@ -189,6 +192,149 @@ TEST(Recon, FormalOrdersAreMonotone) {
             recon::formal_order(Method::kPLMMC));
   EXPECT_LT(recon::formal_order(Method::kPPM),
             recon::formal_order(Method::kWENO5));
+}
+
+// --- Both library loop nests against the per-cell reference -------------
+// tests/support/recon_reference.hpp is the schemes written with branches,
+// compiled here under the tree-default flags; the library runs branch-free
+// bodies under the simd recipe. Every output word is compared bit for bit
+// (memcmp: -0.0 and Inf bits count), including the entries outside
+// [r, n - r) that neither side may touch. The one allowance is the sign and
+// payload of a NaN result: when an input NaN meets the default NaN of an
+// invalid operation (Inf - Inf, 0 * Inf) in an add or multiply, x86 returns
+// the first operand's NaN, and GCC may order the operands of a commutative
+// operation differently in the two builds (WENO5 shows it). A NaN must
+// still be a NaN on both sides.
+
+namespace ref = rshc::testsupport::recon_ref;
+
+/// Pencil inputs that stress the selects: finite values over the whole
+/// exponent range with random signs, signed zeros, subnormals, infinities
+/// and quiet NaNs, plus runs of equal values (flat limiters, PPM's extremum
+/// test at exactly zero).
+std::vector<double> stress_values(std::size_t count, unsigned seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0,
+                             -0.0,
+                             kInf,
+                             -kInf,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::max(),
+                             1.0,
+                             -1.0};
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> kind(0, 9);
+  std::uniform_int_distribution<std::size_t> pick(0, std::size(specials) - 1);
+  std::uniform_real_distribution<double> exponent(-300.0, 300.0);
+  std::uniform_real_distribution<double> mantissa(1.0, 10.0);
+  std::vector<double> v(count);
+  double last = 1.0;
+  for (auto& x : v) {
+    const int k = kind(rng);
+    if (k == 0) {
+      x = specials[pick(rng)];
+    } else if (k == 1) {
+      x = last;  // a run of equal values
+    } else if (k <= 5) {
+      x = (rng() & 1U ? -1.0 : 1.0) * mantissa(rng) *
+          std::pow(10.0, exponent(rng));
+    } else {
+      // Smooth-ish data with sign flips around zero.
+      x = (rng() & 1U ? -1.0 : 1.0) * mantissa(rng);
+    }
+    last = x;
+  }
+  return v;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const bool both_nan = std::isnan(a[i]) && std::isnan(b[i]);
+    if (!both_nan && std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// An odd finite bit pattern (about -4.1e-78) that marks output words
+/// neither side may write.
+double sentinel() {
+  const unsigned long long bits = 0xafdead000000beefULL;
+  double d;
+  std::memcpy(&d, &bits, sizeof d);
+  return d;
+}
+
+TEST_P(EveryMethod, AlongRowNestMatchesPerCellReferenceBitwise) {
+  const Method m = GetParam();
+  constexpr std::size_t kRows = 3;
+  for (std::size_t n = 1; n <= 37; ++n) {
+    for (unsigned seed = 0; seed < 8; ++seed) {
+      const std::size_t qstride = n + 5;  // rows padded apart
+      const std::size_t fstride = n + 3;
+      const auto q = stress_values(kRows * qstride, seed * 97U + n);
+      std::vector<double> ql(kRows * fstride, sentinel());
+      std::vector<double> qr(kRows * fstride, sentinel());
+      std::vector<double> el = ql;
+      std::vector<double> er = qr;
+      recon::reconstruct_rows(m, kRows, n, q.data(), qstride, ql.data(),
+                              qr.data(), fstride);
+      for (std::size_t r = 0; r < kRows; ++r) {
+        ref::pencil(m, {q.data() + r * qstride, n},
+                    {el.data() + r * fstride, n},
+                    {er.data() + r * fstride, n});
+      }
+      ASSERT_TRUE(same_bits(ql, el) && same_bits(qr, er))
+          << recon::method_name(m) << " n=" << n << " seed=" << seed;
+      // The single-pencil entry point is the same nest.
+      std::vector<double> sl(n, sentinel());
+      std::vector<double> sr(n, sentinel());
+      recon::reconstruct(m, {q.data(), n}, sl, sr);
+      ASSERT_TRUE(same_bits(sl, {el.begin(), el.begin() + n}) &&
+                  same_bits(sr, {er.begin(), er.begin() + n}))
+          << recon::method_name(m) << " n=" << n << " seed=" << seed;
+    }
+  }
+}
+
+TEST_P(EveryMethod, AcrossPencilNestMatchesPerCellReferenceBitwise) {
+  const Method m = GetParam();
+  for (std::size_t n = 1; n <= 37; ++n) {
+    for (std::size_t lanes = 1; lanes <= 33; ++lanes) {
+      const std::size_t qstride = lanes + 3;  // pencil stride, padded
+      const std::size_t fstride = lanes + 1;
+      const auto q =
+          stress_values(n * qstride, static_cast<unsigned>(n * 131 + lanes));
+      std::vector<double> ql(n * fstride, sentinel());
+      std::vector<double> qr(n * fstride, sentinel());
+      std::vector<double> el = ql;
+      std::vector<double> er = qr;
+      recon::reconstruct_lanes(m, lanes, n, q.data(), qstride, ql.data(),
+                               qr.data(), fstride);
+      std::vector<double> pq(n);
+      std::vector<double> pl(n);
+      std::vector<double> pr(n);
+      for (std::size_t t = 0; t < lanes; ++t) {
+        for (std::size_t i = 0; i < n; ++i) {
+          pq[i] = q[i * qstride + t];
+          pl[i] = el[i * fstride + t];
+          pr[i] = er[i * fstride + t];
+        }
+        ref::pencil(m, pq, pl, pr);
+        for (std::size_t i = 0; i < n; ++i) {
+          el[i * fstride + t] = pl[i];
+          er[i * fstride + t] = pr[i];
+        }
+      }
+      ASSERT_TRUE(same_bits(ql, el) && same_bits(qr, er))
+          << recon::method_name(m) << " n=" << n << " lanes=" << lanes;
+    }
+  }
 }
 
 }  // namespace

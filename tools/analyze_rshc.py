@@ -20,7 +20,8 @@ Exit codes (validate; the smallest failing class wins when several fail)
     0   clean
     2   structural/usage error (bad arguments, unreadable build dir)
     3   flag-recipe       a deterministic-core TU (srhd/srmhd kernels_*,
-                          riemann faces_*, solver rhs_core) compiled
+                          riemann faces_*, solver rhs_core, recon
+                          reconstruct) compiled
                           without an effective -ffp-contract=off, or with
                           a value-changing float flag in effect
                           (-ffast-math and the flags it implies that can
@@ -151,13 +152,14 @@ def library_files() -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 # TUs that compile the shared deterministic cores (riemann::detail /
-# rhs_core) for more than one backend and must therefore agree bitwise:
+# rhs_core / the reconstruction bodies) for more than one backend and must therefore agree bitwise:
 # contraction is pinned *off* on every one of them, whatever -march says.
 RECIPE_TUS = (
     r"src/srhd/kernels_\w+\.cpp$",
     r"src/srmhd/kernels_\w+\.cpp$",
     r"src/riemann/faces_\w+\.cpp$",
     r"src/solver/rhs_core\.cpp$",
+    r"src/recon/reconstruct\.cpp$",
 )
 
 
@@ -627,6 +629,9 @@ def selftest() -> int:
          "command": f"{gxx} -ffp-contract=off -c k.cpp"},
         {"file": "/r/src/solver/rhs_core.cpp",
          "arguments": ["c++", "-ffp-contract=off", "-c", "rhs_core.cpp"]},
+        {"file": "/r/src/recon/reconstruct.cpp",
+         "command": f"{gxx} -ffp-contract=off -fno-math-errno "
+                    f"-fno-trapping-math -c reconstruct.cpp"},
         {"file": "/r/src/solver/fv_solver.cpp",
          "command": f"{gxx} -ffast-math -c fv_solver.cpp"},  # not a recipe TU
     ]
@@ -648,6 +653,10 @@ def selftest() -> int:
         seeded[2]["command"] += f" {flag} -ffp-contract=off"
         expect(f"flag-recipe {flag}", check_flag_recipe(seeded),
                "flag-recipe", 1, 3)
+    recon = [dict(e) for e in clean_db]
+    recon[4]["command"] += " -freciprocal-math"
+    expect("flag-recipe reconstruct.cpp -freciprocal-math",
+           check_flag_recipe(recon), "flag-recipe", 1, 3)
     for flag, neg in (*VALUE_CHANGING_FLAGS.items(),
                       ("-funsafe-math-optimizations", "-fno-fast-math")):
         cancelled = [dict(e) for e in clean_db]

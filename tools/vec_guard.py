@@ -4,7 +4,8 @@
     vec_guard.py --build-dir DIR [--compiler-id ID] [--native-arch ON|OFF]
 
 Recompiles the simd kernel translation units (src/srhd/kernels_simd.cpp,
-src/srmhd/kernels_simd.cpp, src/riemann/faces_simd.cpp) with the exact
+src/srmhd/kernels_simd.cpp, src/riemann/faces_simd.cpp,
+src/recon/reconstruct.cpp) with the exact
 command lines in DIR/compile_commands.json plus -fopt-info-vec-optimized,
 and checks GCC's report against the loops marked in the shared kernel
 sources. A marker is a comment line
@@ -39,6 +40,7 @@ GUARDED = {
     "src/srhd/kernels_simd.cpp": "src/srhd/kernels_impl.inc",
     "src/srmhd/kernels_simd.cpp": "src/srmhd/kernels_impl.inc",
     "src/riemann/faces_simd.cpp": "src/riemann/faces_impl.inc",
+    "src/recon/reconstruct.cpp": "src/recon/reconstruct.cpp",
 }
 MARKER = re.compile(r"^\s*//\s*vec-guard\((\d+)\):\s*(.*)$")
 
