@@ -1,8 +1,10 @@
 #pragma once
 // Binary checkpoint / restart for FvSolver states: a small header (magic,
 // version, grid shape, variable counts, time) followed by each block's
-// conservative interior. Restart recovers primitives through con2prim, so
-// a checkpoint round-trip is also an end-to-end c2p consistency test.
+// conservative interior and then its primitive interior. Restart restores
+// both exactly: con2prim starts from the prims it overwrites, so a resumed
+// run steps bit for bit like an uninterrupted one only if those prims come
+// back too. Version 1 files (cons only) are rejected.
 
 #include <string>
 
@@ -11,7 +13,7 @@
 namespace rshc::io {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x52534843;  // "RSHC"
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 template <typename Physics>
 void write_checkpoint(const std::string& path,

@@ -141,10 +141,14 @@ class FvSolver {
   /// up-to-date halos, e.g. div B).
   void fill_all_ghosts();
 
-  /// Restart support: overwrite the clock and re-derive primitives from the
-  /// (externally restored) conservative fields, then refresh ghosts.
+  /// Overwrite the clock (restart support, the test oracle).
   void set_time(double t) { time_ = t; }
-  void recover_all_prims();
+  /// Restart support: after the caller rewrote every block's interior cons
+  /// and prims (io::read_checkpoint), refill the ghosts and make the host
+  /// mirror authoritative again. Restoring the prims, not re-deriving them,
+  /// keeps a resumed run bitwise identical to an uninterrupted one: each
+  /// con2prim starts from the prims it overwrites.
+  void finish_restore();
 
   /// Evaluate the flux-divergence RHS for every block from the current
   /// primitives (benchmark hook: isolates the host rhs phase without

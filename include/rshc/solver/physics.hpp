@@ -91,6 +91,8 @@ struct SrhdPhysics {
   // SoA spans in Var order, `w` kNumPrim spans in PrimVar order, all of
   // length n. `simd` selects the kernel translation unit; both variants
   // are bitwise-identical to the per-zone to_prim / max_speed calls.
+  // cons_to_prim_n reads `w` as each zone's guess before overwriting it,
+  // as to_prim does with its `guess`.
   static void cons_to_prim_n(bool simd, std::size_t n, const double* const* u,
                              double* const* w, const Context& ctx,
                              C2PStats& stats);
@@ -110,8 +112,11 @@ struct SrhdPhysics {
   static Cons to_cons(const Prim& w, const Context& ctx) {
     return srhd::prim_to_cons(w, ctx.eos);
   }
-  static Prim to_prim(const Cons& u, const Context& ctx, C2PStats& stats) {
-    const auto r = srhd::cons_to_prim(u, ctx.eos, ctx.c2p);
+  /// Per-zone con2prim, warm-started from `guess` (the zone's previous
+  /// prims) when admissible; the default takes the cold start.
+  static Prim to_prim(const Cons& u, const Context& ctx, C2PStats& stats,
+                      const Prim& guess = {}) {
+    const auto r = srhd::cons_to_prim(u, ctx.eos, ctx.c2p, guess);
     stats.total_iterations += r.iterations;
     stats.floored_zones += r.floored ? 1 : 0;
     return r.prim;
@@ -236,8 +241,9 @@ struct SrmhdPhysics {
   static Cons to_cons(const Prim& w, const Context& ctx) {
     return srmhd::prim_to_cons(w, ctx.eos);
   }
-  static Prim to_prim(const Cons& u, const Context& ctx, C2PStats& stats) {
-    const auto r = srmhd::cons_to_prim(u, ctx.eos, ctx.c2p);
+  static Prim to_prim(const Cons& u, const Context& ctx, C2PStats& stats,
+                      const Prim& guess = {}) {
+    const auto r = srmhd::cons_to_prim(u, ctx.eos, ctx.c2p, guess);
     stats.total_iterations += r.iterations;
     stats.floored_zones += r.floored ? 1 : 0;
     return r.prim;

@@ -8,6 +8,9 @@
 //       eps = h - 1 - p / rho.
 // Newton iteration with the standard analytic slope df/dp = v^2 cs^2 - 1,
 // guarded by a bisection bracket so pathological states still converge.
+// The first iterate is the caller's guess (the solver passes the pressure
+// this solve overwrites) when it lies strictly inside the bracket, and the
+// zero-velocity ideal-gas estimate otherwise.
 // Failures are *reported*, never thrown; callers apply the atmosphere
 // policy (floors) and continue — matching production HRSC practice.
 //
@@ -78,6 +81,10 @@ inline C2PResidual c2p_evaluate(const Cons& u, double p,
 /// Newton bracket [lo, hi] and starting pressure p. `admissible` is false
 /// for zones that go straight to atmosphere: evacuated or non-finite
 /// conservatives, or no physical state at the bottom of the bracket.
+/// `guess` becomes p only when it lies strictly inside the bracket: NaN
+/// and +-Inf fail the strict comparisons, and so does a zero-filled prim
+/// slab (0 or -0.0; p_min >= p_floor > 0), which takes the cold start bit
+/// for bit.
 struct C2PStart {
   double p = 0.0;
   double lo = 0.0;
@@ -86,7 +93,7 @@ struct C2PStart {
 };
 
 inline C2PStart c2p_start(const Cons& u, const eos::IdealGas& eos,
-                          const Con2PrimOptions& opt) {
+                          const Con2PrimOptions& opt, double guess) {
   const bool valid = (u.d > opt.rho_floor) & std::isfinite(u.d) &
                      std::isfinite(u.tau) & std::isfinite(u.s_sq());
   const double E = u.tau + u.d;
@@ -99,8 +106,9 @@ inline C2PStart c2p_start(const Cons& u, const eos::IdealGas& eos,
   const double p_max =
       std::max(2.0 * p_min, 2.0 * (eos.gamma() - 1.0) * std::abs(E)) + 1.0;
   C2PStart s;
-  // Initial guess: zero-velocity ideal-gas estimate clipped into bracket.
-  s.p = std::clamp((eos.gamma() - 1.0) * u.tau, p_min, p_max);
+  // Cold start: zero-velocity ideal-gas estimate clipped into the bracket.
+  const double cold = std::clamp((eos.gamma() - 1.0) * u.tau, p_min, p_max);
+  s.p = (guess > p_min) & (guess < p_max) ? guess : cold;
   s.lo = p_min;
   s.hi = p_max;
   s.admissible = valid & c2p_evaluate(u, p_min, eos).physical;
@@ -148,13 +156,16 @@ inline Prim c2p_floored(const Prim& w, const Con2PrimOptions& opt) {
 
 /// Recover primitives from conservatives. Always returns a usable Prim:
 /// when the root solve fails or the state is unphysical, the atmosphere
-/// floor is applied and `floored` is set.
+/// floor is applied and `floored` is set. `guess` is the zone's previous
+/// primitive state; its pressure starts the Newton solve when admissible
+/// (see detail::c2p_start), and the default takes the cold start.
 [[nodiscard]] inline Con2PrimResult cons_to_prim(
-    const Cons& u, const eos::IdealGas& eos, const Con2PrimOptions& opt = {}) {
+    const Cons& u, const eos::IdealGas& eos, const Con2PrimOptions& opt = {},
+    const Prim& guess = {}) {
   Con2PrimResult out;
   out.prim = Prim{opt.rho_floor, 0.0, 0.0, 0.0, opt.p_floor};  // atmosphere
   out.floored = true;
-  detail::C2PStart s = detail::c2p_start(u, eos, opt);
+  detail::C2PStart s = detail::c2p_start(u, eos, opt, guess.p);
   if (s.admissible) {
     for (int it = 0; it < opt.max_iterations; ++it) {
       out.iterations = it + 1;

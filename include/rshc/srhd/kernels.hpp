@@ -31,7 +31,9 @@ enum class Variant { kScalar, kSimd };
                       const double* vy, const double* vz, const double* p,     \
                       double* d, double* sx, double* sy, double* sz,           \
                       double* tau, double gamma);                              \
-  /* cons -> prim over n zones; returns iteration/failure stats */             \
+  /* cons -> prim over n zones; returns iteration/failure stats. The prim */  \
+  /* arrays are read first, as each zone's guess (its old pressure), and */    \
+  /* then overwritten; zero-filled arrays give the cold start. */             \
   BatchStats cons_to_prim_n(std::size_t n, const double* d,                    \
                             const double* sx, const double* sy,                \
                             const double* sz, const double* tau, double* rho,  \

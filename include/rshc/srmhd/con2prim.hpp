@@ -7,8 +7,11 @@
 //   p(z)   = (Gamma-1)/Gamma * (z/W^2 - D/W)        (ideal gas)
 // the energy equation becomes the scalar residual
 //   f(z) = z - p(z) + B^2/2 (1 + v^2(z)) - (S.B)^2/(2 z^2) - (tau + D) = 0
-// solved by safeguarded Newton (numerical derivative) inside an expanding
-// bracket. Same failure policy as SRHD: report + atmosphere, never throw.
+// solved by safeguarded Newton (analytic slope df/dz, see c2p_evaluate)
+// inside an expanding bracket. The first iterate is the caller's guess
+// (the solver passes z of the prims this solve overwrites) when it lies
+// strictly inside the bracket, and the bracket's midpoint otherwise. Same
+// failure policy as SRHD: report + atmosphere, never throw.
 //
 // Header-inline so the scalar/SIMD kernel TUs compile it under their own
 // flags (same rationale as state.hpp).
@@ -62,14 +65,17 @@ struct C2PInput {
   return {u.d, u.tau, u.s_sq(), u.b_sq(), u.s_dot_b()};
 }
 
-/// Residual f(z) plus the rest density and pressure implied by z. The
-/// fields mean something only when `physical` (z > 0, 0 <= v^2 < 1,
-/// rho > 0); a NaN v^2 or rho counts as physical, as it always has.
+/// Residual f(z) plus the rest density and pressure implied by z, and the
+/// slope df/dz. The fields mean something only when `physical` (z > 0,
+/// 0 <= v^2 < 1, rho > 0); a NaN v^2 or rho counts as physical, as it
+/// always has. `df` comes last: the batched kernel's writeback
+/// aggregate-initialises the first four fields.
 struct C2PResidual {
   double f = 0.0;
   double rho = 0.0;
   double p = 0.0;
   bool physical = false;
+  double df = 0.0;
 };
 
 [[gnu::always_inline]] inline C2PResidual c2p_evaluate(
@@ -82,10 +88,19 @@ struct C2PResidual {
   const double p =
       (eos.gamma() - 1.0) / eos.gamma() * (z / (W * W) - u.d / W);
   const double E = u.tau + u.d;
+  // Analytic slope: with C = (S.B)^2,
+  //   dv^2/dz = -2 C / (z^3 (z + B^2)) - 2 v^2 / (z + B^2)
+  //   dp/dz   = (Gamma-1)/Gamma * ((1 - v^2) - z dv^2/dz + D W/2 dv^2/dz)
+  //   df/dz   = 1 - dp/dz + B^2/2 dv^2/dz + C / z^3
+  const double c_z3 = u.sb * u.sb / (z * z * z);
+  const double dv2 = -2.0 * c_z3 / zB - 2.0 * v2 / zB;
+  const double dp = (eos.gamma() - 1.0) / eos.gamma() *
+                    ((1.0 - v2) - z * dv2 + 0.5 * u.d * W * dv2);
   C2PResidual r;
   r.f = z - p + 0.5 * u.b2 * (1.0 + v2) - 0.5 * u.sb * u.sb / (z * z) - E;
   r.rho = rho;
   r.p = p;
+  r.df = 1.0 - dp + 0.5 * u.b2 * dv2 + c_z3;
   r.physical =
       !(z <= 0.0) & !(v2 >= 1.0) & !(v2 < 0.0) & !(rho <= 0.0);
   return r;
@@ -122,6 +137,23 @@ struct C2PStart {
   return s;
 }
 
+/// The z = rho h W^2 of a primitive state: the first guess the solve takes
+/// from the prims it overwrites. An unphysical `w` gives NaN, +-Inf or
+/// z <= 0, which c2p_first rejects; so does the zero-filled state (z = 0).
+[[gnu::always_inline]] inline double c2p_guess(const Prim& w,
+                                               const eos::IdealGas& eos) {
+  const double v2 = w.vx * w.vx + w.vy * w.vy + w.vz * w.vz;
+  return (w.rho + eos.gamma() / (eos.gamma() - 1.0) * w.p) / (1.0 - v2);
+}
+
+/// The first Newton iterate in the expanded bracket [lo, hi]: `guess` when
+/// it lies strictly inside (NaN and +-Inf fail the comparisons), else the
+/// midpoint, the cold start.
+[[gnu::always_inline]] inline double c2p_first(double guess, double lo,
+                                               double hi) {
+  return (guess > lo) & (guess < hi) ? guess : 0.5 * (lo + hi);
+}
+
 /// One doubling of the bracket's upper end (run while `below`, at most
 /// kMaxExpansions times).
 [[gnu::always_inline]] inline void c2p_expand(const C2PInput& u,
@@ -150,24 +182,14 @@ struct C2PStart {
   return converged;
 }
 
-/// Second half: the next iterate after c2p_bracket. Newton from z with a
-/// finite-difference slope (the second residual evaluation) when that
-/// stays finite and strictly inside [lo, hi]; bisection otherwise, and
+/// Second half: the next iterate after c2p_bracket. Newton from z with the
+/// analytic slope r.df when that stays finite and strictly inside
+/// [lo, hi]; bisection otherwise (a zero or NaN slope lands there too), and
 /// always for an unphysical r.
-[[gnu::always_inline]] inline double c2p_step(const C2PInput& u,
-                                              const C2PResidual& r, double z,
-                                              double lo, double hi,
-                                              const eos::IdealGas& eos) {
-  const double dz = 1e-8 * std::max(1.0, std::abs(z));
-  const C2PResidual rp = c2p_evaluate(u, z + dz, eos);
-  const double slope = (rp.f - r.f) / dz;
-  const double newton = z - r.f / slope;
-  // Without a usable slope the step bisects. `sloped` joins the `inside`
-  // mask rather than selecting `newton`: a select between masks is what
-  // GCC cannot vectorize in the lane loop.
-  const bool sloped = rp.physical & (std::abs(rp.f - r.f) > 0.0);
-  const bool inside =
-      sloped & (newton > lo) & (newton < hi) & std::isfinite(newton);
+[[gnu::always_inline]] inline double c2p_step(const C2PResidual& r, double z,
+                                              double lo, double hi) {
+  const double newton = z - r.f / r.df;
+  const bool inside = (newton > lo) & (newton < hi) & std::isfinite(newton);
   return r.physical & inside ? newton : 0.5 * (lo + hi);
 }
 
@@ -213,9 +235,12 @@ struct C2PStart {
 
 /// Recover primitives from conservatives. Always returns a usable Prim:
 /// when the root solve fails or the state is unphysical, the atmosphere
-/// floor is applied and `floored` is set.
+/// floor is applied and `floored` is set. `guess` is the zone's previous
+/// primitive state; its z starts the Newton solve when admissible (see
+/// detail::c2p_first), and the default takes the cold start.
 [[nodiscard]] inline Con2PrimResult cons_to_prim(
-    const Cons& u, const eos::IdealGas& eos, const Con2PrimOptions& opt = {}) {
+    const Cons& u, const eos::IdealGas& eos, const Con2PrimOptions& opt = {},
+    const Prim& guess = {}) {
   Con2PrimResult out;
   out.prim = detail::c2p_atmosphere(u, opt);
   out.floored = true;
@@ -225,7 +250,7 @@ struct C2PStart {
     detail::c2p_expand(in, eos, s.hi, s.below);
   }
   if (s.valid && !s.below) {
-    double z = 0.5 * (s.lo + s.hi);
+    double z = detail::c2p_first(detail::c2p_guess(guess, eos), s.lo, s.hi);
     for (int it = 0; it < opt.max_iterations; ++it) {
       out.iterations = it + 1;
       const detail::C2PResidual r = detail::c2p_evaluate(in, z, eos);
@@ -235,7 +260,7 @@ struct C2PStart {
         out.floored = false;
         break;
       }
-      z = detail::c2p_step(in, r, z, s.lo, s.hi, eos);
+      z = detail::c2p_step(r, z, s.lo, s.hi);
     }
   }
   // Same contract as SRHD: nothing unphysical leaves c2p, floored or not

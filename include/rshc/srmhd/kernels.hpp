@@ -24,7 +24,10 @@ struct BatchStats {
 
 // NOLINTBEGIN(bugprone-easily-swappable-parameters) — SoA arrays by design.
 #define RSHC_SRMHD_DECLARE_KERNELS                                            \
-  /* cons -> prim over n zones (B and psi pass through); returns stats */     \
+  /* cons -> prim over n zones (B and psi pass through); returns stats. */    \
+  /* rho, vx, vy, vz and p are read first, as each zone's guess (its old */    \
+  /* z = rho h W^2), and then overwritten; zero-filled arrays give the */      \
+  /* cold start. */                                                           \
   BatchStats cons_to_prim_n(                                                  \
       std::size_t n, const double* d, const double* sx, const double* sy,     \
       const double* sz, const double* tau, const double* ubx,                 \

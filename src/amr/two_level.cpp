@@ -288,7 +288,8 @@ void TwoLevelSrhdSolver::restrict_to_coarse() {
           avg = (1.0 / count) * avg;
           solver::SrhdPhysics::store_cons(cu, k, j, i, avg);
           const Prim p = solver::SrhdPhysics::to_prim(
-              avg, coarse_->options().physics, scratch_stats);
+              avg, coarse_->options().physics, scratch_stats,
+              solver::SrhdPhysics::load_prim(cw, k, j, i));
           solver::SrhdPhysics::store_prim(cw, k, j, i, p);
         }
       }

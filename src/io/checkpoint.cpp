@@ -16,7 +16,7 @@ struct Header {
   std::int32_t ndim = 0;
   std::int32_t nvar_cons = 0;
   std::int32_t num_blocks = 0;
-  std::int32_t reserved = 0;
+  std::int32_t nvar_prim = 0;
   std::int64_t nx = 0;
   std::int64_t ny = 0;
   std::int64_t nz = 0;
@@ -31,6 +31,25 @@ void write_raw(std::ofstream& f, const T& v) {
 template <typename T>
 void read_raw(std::ifstream& f, T& v) {
   f.read(reinterpret_cast<char*>(&v), sizeof(T));
+}
+
+/// The payload of one block: every variable of `cons`, then every variable
+/// of `prim`, each over the interior in (k, j, i) order. An interior row
+/// is contiguous in a FieldArray, so each row is one stream call; `io`
+/// writes or reads the `n` doubles at its first argument.
+template <typename Fields, typename Io>
+void for_each_interior_row(const mesh::Block& blk, Fields& cons,
+                           Fields& prim, const Io& io) {
+  const auto n = static_cast<std::streamsize>(blk.end(0) - blk.begin(0));
+  for (Fields* a : {&cons, &prim}) {
+    for (int v = 0; v < a->nvar(); ++v) {
+      for (int k = blk.begin(2); k < blk.end(2); ++k) {
+        for (int j = blk.begin(1); j < blk.end(1); ++j) {
+          io(a->var(v).data() + a->cell_index(k, j, blk.begin(0)), n);
+        }
+      }
+    }
+  }
 }
 
 /// Journal and throw a restore failure. Every validation below funnels
@@ -56,6 +75,7 @@ void write_checkpoint(const std::string& path,
   h.ndim = s.grid().ndim();
   h.nvar_cons = Physics::kNumCons;
   h.num_blocks = s.num_blocks();
+  h.nvar_prim = Physics::kNumPrim;
   h.nx = s.grid().extent(0);
   h.ny = s.grid().extent(1);
   h.nz = s.grid().extent(2);
@@ -63,16 +83,12 @@ void write_checkpoint(const std::string& path,
   write_raw(f, h);
   for (int b = 0; b < s.num_blocks(); ++b) {
     const auto& blk = s.block(b);
-    const auto& u = blk.cons();
-    for (int v = 0; v < Physics::kNumCons; ++v) {
-      for (int k = blk.begin(2); k < blk.end(2); ++k) {
-        for (int j = blk.begin(1); j < blk.end(1); ++j) {
-          for (int i = blk.begin(0); i < blk.end(0); ++i) {
-            write_raw(f, u(v, k, j, i));
-          }
-        }
-      }
-    }
+    for_each_interior_row(blk, blk.cons(), blk.prim(),
+                          [&f](const double* row, std::streamsize n) {
+                            f.write(reinterpret_cast<const char*>(row),
+                                    n * static_cast<std::streamsize>(
+                                            sizeof(double)));
+                          });
   }
   RSHC_REQUIRE(f.good(), "checkpoint write failed: " + path);
   obs::journal::checkpoint(path, s.time());
@@ -101,23 +117,28 @@ void read_checkpoint(const std::string& path,
     fail_read(path, "bad magic (not an rshc checkpoint)");
   }
   if (h.version != kCheckpointVersion) {
-    fail_read(path, "unsupported version " + std::to_string(h.version) +
-                        " (expected " + std::to_string(kCheckpointVersion) +
-                        ")");
+    fail_read(path,
+              "unsupported version " + std::to_string(h.version) +
+                  " (expected " + std::to_string(kCheckpointVersion) + ")" +
+                  (h.version == 1 ? ": version 1 holds no primitives, "
+                                    "which a bitwise restart needs"
+                                  : ""));
   }
-  if (h.ndim < 1 || h.ndim > 3 || h.nvar_cons <= 0 || h.num_blocks <= 0 ||
-      h.nx <= 0 || h.ny <= 0 || h.nz <= 0) {
+  if (h.ndim < 1 || h.ndim > 3 || h.nvar_cons <= 0 || h.nvar_prim <= 0 ||
+      h.num_blocks <= 0 || h.nx <= 0 || h.ny <= 0 || h.nz <= 0) {
     fail_read(path, "corrupt header (implausible shape fields)");
   }
   if (h.ndim != s.grid().ndim() || h.nx != s.grid().extent(0) ||
       h.ny != s.grid().extent(1) || h.nz != s.grid().extent(2)) {
     fail_read(path, "grid shape mismatch");
   }
-  if (h.nvar_cons != Physics::kNumCons) {
+  if (h.nvar_cons != Physics::kNumCons || h.nvar_prim != Physics::kNumPrim) {
     fail_read(path, "physics mismatch (file has " +
-                        std::to_string(h.nvar_cons) +
-                        " conserved variables, solver expects " +
-                        std::to_string(Physics::kNumCons) + ")");
+                        std::to_string(h.nvar_cons) + " conserved and " +
+                        std::to_string(h.nvar_prim) +
+                        " primitive variables, solver expects " +
+                        std::to_string(Physics::kNumCons) + " and " +
+                        std::to_string(Physics::kNumPrim) + ")");
   }
   if (h.num_blocks != s.num_blocks()) {
     fail_read(path, "block layout mismatch");
@@ -127,7 +148,7 @@ void read_checkpoint(const std::string& path,
     const auto& blk = s.block(b);
     std::int64_t zones = 1;
     for (int a = 0; a < 3; ++a) zones *= blk.end(a) - blk.begin(a);
-    payload += zones * Physics::kNumCons *
+    payload += zones * (Physics::kNumCons + Physics::kNumPrim) *
                static_cast<std::int64_t>(sizeof(double));
   }
   const std::int64_t expected =
@@ -142,20 +163,16 @@ void read_checkpoint(const std::string& path,
   }
   for (int b = 0; b < s.num_blocks(); ++b) {
     auto& blk = s.block(b);
-    auto& u = blk.cons();
-    for (int v = 0; v < Physics::kNumCons; ++v) {
-      for (int k = blk.begin(2); k < blk.end(2); ++k) {
-        for (int j = blk.begin(1); j < blk.end(1); ++j) {
-          for (int i = blk.begin(0); i < blk.end(0); ++i) {
-            read_raw(f, u(v, k, j, i));
-          }
-        }
-      }
-    }
+    for_each_interior_row(blk, blk.cons(), blk.prim(),
+                          [&f](double* row, std::streamsize n) {
+                            f.read(reinterpret_cast<char*>(row),
+                                   n * static_cast<std::streamsize>(
+                                           sizeof(double)));
+                          });
   }
   if (!f.good()) fail_read(path, "read failed mid-payload");
   s.set_time(h.time);
-  s.recover_all_prims();
+  s.finish_restore();
   obs::journal::Journal::global().event(
       "restore", {obs::journal::Field("path", path),
                   obs::journal::Field("time", h.time)});

@@ -362,23 +362,7 @@ void FvSolver<Physics>::merge_block_stats() {
 }
 
 template <typename Physics>
-void FvSolver<Physics>::recover_all_prims() {
-  for (int b = 0; b < num_blocks(); ++b) {
-    auto& blk = blocks_[static_cast<std::size_t>(b)];
-    const auto& u = blk.cons();
-    auto& w = blk.prim();
-    C2PStats ignored;
-    for (int k = blk.begin(2); k < blk.end(2); ++k) {
-      for (int j = blk.begin(1); j < blk.end(1); ++j) {
-        for (int i = blk.begin(0); i < blk.end(0); ++i) {
-          const Cons c = Physics::load_cons(u, k, j, i);
-          const Prim p = Physics::to_prim(c, opt_.physics, ignored);
-          RSHC_CHECK_PRIM("c2p", p, b, i, j, k);
-          Physics::store_prim(w, k, j, i, p);
-        }
-      }
-    }
-  }
+void FvSolver<Physics>::finish_restore() {
   fill_all_ghosts();
   if (device_) device_->invalidate();  // restart rewrote the host mirror
 }

@@ -8,7 +8,8 @@
 // limit_face_state on both face states, Physics::interface_flux per
 // interface, accumulate -flux into the left cell and +flux into the right
 // cell as each interface is visited, then the RK combination and a per-zone
-// Physics::to_prim, and Physics::post_step at the end of the step. None of
+// Physics::to_prim warm-started from the zone's old prims (as the batched
+// kernels are), and Physics::post_step at the end of the step. None of
 // this shares code with core::rhs_batched_range / core::update_batched
 // beyond the per-interface and per-zone physics functions, so a batched
 // kernel that reorders an accumulation or reassociates the RK combination
@@ -55,6 +56,8 @@ class PencilReference {
                        blk.total(0));
       du_.emplace_back(Physics::kNumCons, blk.total(2), blk.total(1),
                        blk.total(0));
+      guess_.emplace_back(Physics::kNumPrim, blk.total(2), blk.total(1),
+                          blk.total(0));
       max_extent =
           std::max({max_extent, blk.total(0), blk.total(1), blk.total(2)});
     }
@@ -64,6 +67,14 @@ class PencilReference {
       ql_[v].resize(plen);
       qr_[v].resize(plen);
     }
+  }
+
+  /// Block b's prims as they were before the oracle's last con2prim on it:
+  /// the guesses that con2prim started from. A kernel run on the same
+  /// conservatives with these prims as its guess reproduces the oracle's
+  /// prims bit for bit.
+  [[nodiscard]] const mesh::FieldArray& last_c2p_guess(int b) const {
+    return guess_[static_cast<std::size_t>(b)];
   }
 
   /// CFL-limited time step: per-zone max_speed over every interior cell.
@@ -234,12 +245,17 @@ class PencilReference {
         }
       }
     }
-    // Primitive recovery reads back the freshly stored conservatives.
+    // Primitive recovery reads back the freshly stored conservatives and
+    // starts from the prims it overwrites.
+    const auto old = w.flat();
+    std::copy(old.begin(), old.end(),
+              guess_[static_cast<std::size_t>(b)].flat().begin());
     for (int k = blk.begin(2); k < blk.end(2); ++k) {
       for (int j = blk.begin(1); j < blk.end(1); ++j) {
         for (int i = blk.begin(0); i < blk.end(0); ++i) {
           const Cons next = Physics::load_cons(u, k, j, i);
-          const Prim p = Physics::to_prim(next, opt.physics, stats_);
+          const Prim p = Physics::to_prim(next, opt.physics, stats_,
+                                          Physics::load_prim(w, k, j, i));
           RSHC_CHECK_PRIM("c2p", p, b, i, j, k);
           Physics::store_prim(w, k, j, i, p);
         }
@@ -250,6 +266,7 @@ class PencilReference {
   solver::FvSolver<Physics>& s_;
   std::vector<mesh::FieldArray> u0_;  // RK reference state
   std::vector<mesh::FieldArray> du_;  // flux-difference accumulator
+  std::vector<mesh::FieldArray> guess_;  // prims before the last con2prim
   // One pencil per primitive variable: [var][pencil index].
   std::array<std::vector<double>, Physics::kNumPrim> q_;
   std::array<std::vector<double>, Physics::kNumPrim> ql_;

@@ -446,16 +446,21 @@ std::unique_ptr<solver::SrhdSolver> make_evolved_solver(
 
 class OffloadBackends : public ::testing::TestWithParam<device::Backend> {};
 
-// Stage the interior conservatives through `dev`'s buffers, run the batched
-// con2prim kernel there (the scalar variant on the scalar host backend, the
-// simd variant elsewhere) and bring the primitives back: every backend must
-// reproduce the solver's in-place primitives bit for bit, since both
-// kernel variants are bitwise identical to the per-zone solve.
+// Stage the interior conservatives, and as the guess the prims the last
+// con2prim started from, through `dev`'s buffers, run the batched con2prim
+// kernel there (the scalar variant on the scalar host backend, the simd
+// variant elsewhere) and bring the primitives back: every backend must
+// reproduce the in-place primitives bit for bit, since both kernel
+// variants are bitwise identical to the per-zone solve. The last step is
+// the pencil oracle's, which keeps those guesses.
 TEST_P(OffloadBackends, MatchesInPlacePrimitives) {
   auto sp = make_evolved_solver(solver::HostPipeline::kBatchedSimd,
                                 device::AccelModel{});
   auto& s = *sp;
   for (int i = 0; i < 5; ++i) s.step(s.compute_dt());
+  testsupport::PencilReference oracle(s);
+  oracle.reference_step(oracle.reference_dt());
+  const mesh::FieldArray& guess = oracle.last_c2p_guess(0);
   const mesh::Block& blk = s.block(0);
   const std::size_t n = static_cast<std::size_t>(blk.interior(0)) *
                         static_cast<std::size_t>(blk.interior(1)) *
@@ -463,10 +468,12 @@ TEST_P(OffloadBackends, MatchesInPlacePrimitives) {
   ASSERT_EQ(n, 16u * 16u);
 
   std::array<std::vector<double>, srhd::kNumVars> host_in;
+  std::array<std::vector<double>, srhd::kNumVars> host_guess;
   std::array<std::vector<double>, srhd::kNumVars> host_out;
   std::array<std::vector<double>, srhd::kNumVars> ref;
   for (int v = 0; v < srhd::kNumVars; ++v) {
     host_in[static_cast<std::size_t>(v)].reserve(n);
+    host_guess[static_cast<std::size_t>(v)].reserve(n);
     host_out[static_cast<std::size_t>(v)].assign(n, 0.0);
     ref[static_cast<std::size_t>(v)].reserve(n);
   }
@@ -476,6 +483,7 @@ TEST_P(OffloadBackends, MatchesInPlacePrimitives) {
         for (int v = 0; v < srhd::kNumVars; ++v) {
           const auto vi = static_cast<std::size_t>(v);
           host_in[vi].push_back(blk.cons()(v, k, j, i));
+          host_guess[vi].push_back(guess(v, k, j, i));
           ref[vi].push_back(blk.prim()(v, k, j, i));
         }
       }
@@ -490,6 +498,7 @@ TEST_P(OffloadBackends, MatchesInPlacePrimitives) {
     in_buf[vi] = dev->alloc(n);
     out_buf[vi] = dev->alloc(n);
     dev->upload_async(host_in[vi], in_buf[vi]);
+    dev->upload_async(host_guess[vi], out_buf[vi]);
   }
   auto view = [](device::Buffer& b) { return b.device_view().data(); };
   double* const in[] = {view(in_buf[0]), view(in_buf[1]), view(in_buf[2]),

@@ -195,7 +195,8 @@ struct Rows {
 /// The scalar variant of the batched span kernels — the kernels::scalar
 /// TUs behind Physics::cons_to_prim_n / max_speed_n / interface_flux_n with
 /// simd = false — against the per-pencil oracle on the state it evolved:
-/// con2prim over every block interior must reproduce the oracle's prims,
+/// con2prim over every block interior, started from the prims the oracle's
+/// last con2prim started from, must reproduce the oracle's prims,
 /// the max_speed_n CFL scan its dt, and the batched limiter + Riemann +
 /// flux over every pencil's interfaces its per-interface fluxes, all bit
 /// for bit.
@@ -222,6 +223,8 @@ void expect_scalar_kernels_match_oracle(
                           static_cast<std::size_t>(blk.interior(2));
     Rows u(Physics::kNumCons, n);
     Rows w_ref(Physics::kNumPrim, n);
+    Rows w(Physics::kNumPrim, n);  // the guesses, overwritten by con2prim
+    const mesh::FieldArray& guess = oracle.last_c2p_guess(b);
     std::size_t z = 0;
     for (int k = blk.begin(2); k < blk.end(2); ++k) {
       for (int j = blk.begin(1); j < blk.end(1); ++j) {
@@ -232,11 +235,11 @@ void expect_scalar_kernels_match_oracle(
           for (int v = 0; v < Physics::kNumPrim; ++v) {
             w_ref.data[static_cast<std::size_t>(v)][z] =
                 blk.prim()(v, k, j, i);
+            w.data[static_cast<std::size_t>(v)][z] = guess(v, k, j, i);
           }
         }
       }
     }
-    Rows w(Physics::kNumPrim, n);
     solver::C2PStats stats;
     Physics::cons_to_prim_n(false, n, u.cptr(), w.ptr.data(), ctx, stats);
     for (int v = 0; v < Physics::kNumPrim; ++v) {

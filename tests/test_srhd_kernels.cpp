@@ -6,7 +6,9 @@
 // simd c2p runs zones in lanes of 8 with a per-zone tail, so the oracle
 // covers every length 1-37 and the regimes that take each path: W up to
 // 100, pressure ratios 1e-8..1e8, evacuated, NaN, Inf and negative-tau
-// zones, and zones that exhaust max_iterations.
+// zones, and zones that exhaust max_iterations. The warm-start battery
+// feeds the c2p every kind of guess slab, admissible or not, over every
+// tail length 0-17.
 
 #include <gtest/gtest.h>
 
@@ -30,8 +32,10 @@ constexpr double kGamma = 5.0 / 3.0;
 
 template <typename T>
 bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  // An empty vector's data() may be null, which memcmp must not see.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
 struct Batch {
@@ -121,10 +125,14 @@ std::vector<srhd::Cons> c2p_inputs(std::size_t n, unsigned seed) {
 
 /// Run one c2p variant and the per-zone reference on `in` and require the
 /// same bits in every prim, the same iteration total and failure count.
+/// `guess` (zero-filled when empty) fills the kernels' prim arrays and is
+/// the per-zone call's guess.
 void expect_c2p_matches_reference(const std::vector<srhd::Cons>& in,
-                                  const srhd::Con2PrimOptions& opt) {
+                                  const srhd::Con2PrimOptions& opt,
+                                  std::vector<srhd::Prim> guess = {}) {
   const std::size_t n = in.size();
   const eos::IdealGas eos(kGamma);
+  guess.resize(n);
   std::vector<double> d(n), sx(n), sy(n), sz(n), tau(n);
   std::vector<double> ref_rho(n), ref_vx(n), ref_vy(n), ref_vz(n), ref_p(n);
   long long ref_iters = 0;
@@ -135,7 +143,8 @@ void expect_c2p_matches_reference(const std::vector<srhd::Cons>& in,
     sy[i] = in[i].sy;
     sz[i] = in[i].sz;
     tau[i] = in[i].tau;
-    const srhd::Con2PrimResult r = srhd::cons_to_prim(in[i], eos, opt);
+    const srhd::Con2PrimResult r =
+        srhd::cons_to_prim(in[i], eos, opt, guess[i]);
     ref_rho[i] = r.prim.rho;
     ref_vx[i] = r.prim.vx;
     ref_vy[i] = r.prim.vy;
@@ -148,6 +157,13 @@ void expect_c2p_matches_reference(const std::vector<srhd::Cons>& in,
        {&k::scalar::cons_to_prim_n, &k::simd::cons_to_prim_n}) {
     SCOPED_TRACE(run == &k::simd::cons_to_prim_n ? "simd" : "scalar");
     std::vector<double> rho(n), vx(n), vy(n), vz(n), p(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      rho[i] = guess[i].rho;
+      vx[i] = guess[i].vx;
+      vy[i] = guess[i].vy;
+      vz[i] = guess[i].vz;
+      p[i] = guess[i].p;
+    }
     const k::BatchStats s =
         run(n, d.data(), sx.data(), sy.data(), sz.data(), tau.data(),
             rho.data(), vx.data(), vy.data(), vz.data(), p.data(), kGamma, opt);
@@ -349,6 +365,126 @@ TEST_P(BatchOracle, FacesBitwiseAgainstSolveSrhd) {
 
 INSTANTIATE_TEST_SUITE_P(Lengths, BatchOracle,
                          ::testing::Range<std::size_t>(1, 38));
+
+// --- warm start -------------------------------------------------------------
+
+/// The guess slabs of the warm-start battery. The SRHD solve takes only the
+/// old pressure, so kNegRho, kLightSpeed and kSuperluminal are admissible;
+/// the kinds before them are not, and must reproduce the cold start.
+enum GuessKind : int {
+  kZero,
+  kNegZero,
+  kNaN,
+  kPosInf,
+  kNegInf,
+  kNegP,
+  kBelowBracket,
+  kAboveBracket,
+  kNegRho,
+  kLightSpeed,
+  kSuperluminal,
+  kRoot,
+  kNearRoot,
+  kNumGuessKinds,
+};
+
+bool srhd_cold_guess(int kind) { return kind < kNegRho; }
+
+/// A guess of `kind` for a zone whose cold solve gave `root`.
+srhd::Prim make_guess(int kind, const srhd::Prim& root) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  srhd::Prim g = root;
+  switch (kind) {
+    case kZero:
+      g = {};
+      break;
+    case kNegZero:
+      g = {-0.0, -0.0, -0.0, -0.0, -0.0};
+      break;
+    case kNaN:
+      g = {nan, nan, nan, nan, nan};
+      break;
+    case kPosInf:
+      g.p = inf;
+      break;
+    case kNegInf:
+      g.p = -inf;
+      break;
+    case kNegP:
+      g.p = -root.p;
+      break;
+    case kBelowBracket:  // under p_floor <= p_min
+      g.p = 1e-300;
+      break;
+    case kAboveBracket:
+      g.p = 1e300;
+      break;
+    case kNegRho:
+      g.rho = -root.rho;
+      break;
+    case kLightSpeed:
+      g.vx = 1.0;
+      g.vy = 0.0;
+      g.vz = 0.0;
+      break;
+    case kSuperluminal:
+      g.vx = 1.5;
+      g.vy = 0.0;
+      g.vz = 0.0;
+      break;
+    case kNearRoot:
+      g.p = root.p * (1.0 + 1e-3);
+      break;
+    default:  // kRoot
+      break;
+  }
+  return g;
+}
+
+bool same_prim_bits(const srhd::Prim& a, const srhd::Prim& b) {
+  return std::memcmp(&a, &b, sizeof(srhd::Prim)) == 0;
+}
+
+class WarmStart : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(WarmStart, EveryGuessSlabMatchesPerZoneBitwise) {
+  const std::size_t n = GetParam();
+  const eos::IdealGas eos(kGamma);
+  const auto in = c2p_inputs(n, 500u + static_cast<unsigned>(n));
+  srhd::Con2PrimOptions starved;
+  starved.max_iterations = 2;
+  // Every kind lands on every lane position as the shift walks.
+  for (int shift = 0; shift < kNumGuessKinds; ++shift) {
+    SCOPED_TRACE(::testing::Message() << "shift " << shift);
+    std::vector<srhd::Prim> guess(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const int kind = (static_cast<int>(i) + shift) % kNumGuessKinds;
+      const srhd::Con2PrimResult cold = srhd::cons_to_prim(in[i], eos);
+      guess[i] = make_guess(kind, cold.prim);
+      const srhd::Con2PrimResult warm =
+          srhd::cons_to_prim(in[i], eos, {}, guess[i]);
+      if (srhd_cold_guess(kind)) {
+        // An inadmissible guess, a zero-filled slab included, is the
+        // no-guess call bit for bit.
+        EXPECT_TRUE(same_prim_bits(warm.prim, cold.prim)) << "zone " << i;
+        EXPECT_EQ(warm.iterations, cold.iterations) << "zone " << i;
+        EXPECT_EQ(warm.floored, cold.floored) << "zone " << i;
+      }
+      if (kind == kRoot) {
+        // Restarting at the root converges at once, to the same bits.
+        EXPECT_TRUE(same_prim_bits(warm.prim, cold.prim)) << "zone " << i;
+        EXPECT_EQ(warm.iterations, cold.converged ? 1 : cold.iterations)
+            << "zone " << i;
+      }
+    }
+    expect_c2p_matches_reference(in, {}, guess);
+    expect_c2p_matches_reference(in, starved, guess);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(TailLengths, WarmStart,
+                         ::testing::Range<std::size_t>(0, 18));
 
 TEST(Kernels, AxpbyBothVariants) {
   const std::size_t n = 100;

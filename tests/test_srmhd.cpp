@@ -1,6 +1,7 @@
 // SRMHD physics: conservative map, fluxes, fast-speed bounds, GLM pieces,
-// the 1D-W con2prim roundtrip sweep (with and without magnetization), and
-// the batched span kernels against the per-zone functions.
+// the 1D-W con2prim roundtrip sweep (with and without magnetization), its
+// analytic Newton slope against finite differences, and the batched span
+// kernels against the per-zone functions, cold and warm-started.
 
 #include <gtest/gtest.h>
 
@@ -299,14 +300,22 @@ std::vector<Cons> c2p_inputs(std::size_t n, unsigned seed) {
   return out;
 }
 
+/// The nine prim components in PrimVar order.
+std::array<double, srmhd::kNumVars> prim_components(const Prim& w) {
+  return {w.rho, w.vx, w.vy, w.vz, w.p, w.bx, w.by, w.bz, w.psi};
+}
+
 /// Run both c2p kernel variants and the per-zone cons_to_prim on `in` and
 /// require the same bits in every prim, the same iteration total and the
-/// same failure count.
+/// same failure count. `guess` (zero-filled when empty) fills the kernels'
+/// prim arrays and is the per-zone call's guess.
 void expect_c2p_matches_reference(const std::vector<Cons>& in,
-                                  const srmhd::Con2PrimOptions& opt) {
+                                  const srmhd::Con2PrimOptions& opt,
+                                  std::vector<Prim> guess = {}) {
   namespace k = srmhd::kernels;
   constexpr int nv = srmhd::kNumVars;
   const std::size_t n = in.size();
+  guess.resize(n);
   std::array<std::vector<double>, nv> u;
   std::array<std::vector<double>, nv> ref;
   for (int v = 0; v < nv; ++v) {
@@ -319,10 +328,9 @@ void expect_c2p_matches_reference(const std::vector<Cons>& in,
   for (std::size_t i = 0; i < n; ++i) {
     solver::SrmhdPhysics::cons_components(in[i], q);
     for (int v = 0; v < nv; ++v) u[v][i] = q[v];
-    const srmhd::Con2PrimResult r = srmhd::cons_to_prim(in[i], kEos, opt);
-    const Prim& w = r.prim;
-    const double c[nv] = {w.rho, w.vx, w.vy, w.vz, w.p,
-                          w.bx,  w.by, w.bz, w.psi};
+    const srmhd::Con2PrimResult r =
+        srmhd::cons_to_prim(in[i], kEos, opt, guess[i]);
+    const auto c = prim_components(r.prim);
     for (int v = 0; v < nv; ++v) ref[v][i] = c[v];
     ref_iters += r.iterations;
     ref_failures += r.floored ? 1 : 0;
@@ -331,7 +339,11 @@ void expect_c2p_matches_reference(const std::vector<Cons>& in,
        {&k::scalar::cons_to_prim_n, &k::simd::cons_to_prim_n}) {
     SCOPED_TRACE(run == &k::simd::cons_to_prim_n ? "simd" : "scalar");
     std::array<std::vector<double>, nv> w;
-    for (auto& row : w) row.assign(n, 0.0);
+    for (auto& row : w) row.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto c = prim_components(guess[i]);
+      for (int v = 0; v < nv; ++v) w[v][i] = c[v];
+    }
     const k::BatchStats s = run(
         n, u[srmhd::kD].data(), u[srmhd::kSx].data(), u[srmhd::kSy].data(),
         u[srmhd::kSz].data(), u[srmhd::kTau].data(), u[srmhd::kBx].data(),
@@ -341,8 +353,9 @@ void expect_c2p_matches_reference(const std::vector<Cons>& in,
         w[srmhd::kBy].data(), w[srmhd::kBz].data(), w[srmhd::kPsi].data(),
         kEos.gamma(), opt);
     for (int v = 0; v < nv; ++v) {
-      EXPECT_EQ(std::memcmp(w[v].data(), ref[v].data(), n * sizeof(double)),
-                0)
+      // An empty vector's data() may be null, which memcmp must not see.
+      EXPECT_TRUE(n == 0 || std::memcmp(w[v].data(), ref[v].data(),
+                                        n * sizeof(double)) == 0)
           << "prim var " << v;
     }
     EXPECT_EQ(s.total_iterations, ref_iters);
@@ -361,10 +374,7 @@ void expect_c2p_matches_reference(const std::vector<Cons>& in,
 TEST(SrmhdBatchKernels, BothVariantsMatchPerZoneFunctionsBitwise) {
   using P = solver::SrmhdPhysics;
   constexpr int nv = P::kNumPrim;
-  auto components = [](const Prim& w) {
-    return std::array<double, nv>{w.rho, w.vx, w.vy, w.vz, w.p,
-                                  w.bx,  w.by, w.bz, w.psi};
-  };
+  const auto components = prim_components;
   int expanding = 0;  // c2p inputs that need the z_hi doubling loop
   for (std::size_t n = 1; n <= 37; ++n) {
     SCOPED_TRACE(::testing::Message() << "n = " << n);
@@ -489,6 +499,177 @@ TEST(SrmhdBatchKernels, BothVariantsMatchPerZoneFunctionsBitwise) {
     }
   }
   EXPECT_GT(expanding, 0) << "no input exercised the z_hi expansion";
+}
+
+// --- warm start ------------------------------------------------------------
+
+/// The guess slabs of the warm-start battery. The SRMHD solve's guess is
+/// z = rho h W^2 of the old prims; every kind before kNegRho makes z NaN,
+/// +-Inf, <= 0 or lands outside the bracket, and must reproduce the cold
+/// start.
+enum GuessKind : int {
+  kZero,
+  kNegZero,
+  kNaN,
+  kPosInf,
+  kNegInf,
+  kLightSpeed,
+  kSuperluminal,
+  kBelowBracket,
+  kAboveBracket,
+  kNegRho,
+  kNegP,
+  kRoot,
+  kNearRoot,
+  kNumGuessKinds,
+};
+
+bool srmhd_cold_guess(int kind) { return kind < kNegRho; }
+
+/// A guess of `kind` for a zone whose cold solve gave `root`.
+Prim make_guess(int kind, const Prim& root) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Prim g = root;
+  switch (kind) {
+    case kZero:
+      g = {};
+      break;
+    case kNegZero:
+      g = make_prim(-0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0);
+      g.psi = -0.0;
+      break;
+    case kNaN:
+      g = make_prim(nan, nan, nan, nan, nan, nan, nan, nan);
+      g.psi = nan;
+      break;
+    case kPosInf:
+      g.p = inf;
+      break;
+    case kNegInf:
+      g.p = -inf;
+      break;
+    case kLightSpeed:  // W = Inf
+      g.vx = 1.0;
+      g.vy = 0.0;
+      g.vz = 0.0;
+      break;
+    case kSuperluminal:  // z < 0
+      g.vx = 1.5;
+      g.vy = 0.0;
+      g.vz = 0.0;
+      break;
+    case kBelowBracket:
+      g = make_prim(1e-300, 0.0, 0.0, 0.0, 1e-300, 0.0, 0.0, 0.0);
+      break;
+    case kAboveBracket:
+      g = make_prim(1e300, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0);
+      break;
+    case kNegRho:
+      g.rho = -root.rho;
+      break;
+    case kNegP:
+      g.p = -root.p;
+      break;
+    case kNearRoot:
+      g.p = root.p * (1.0 + 1e-3);
+      break;
+    default:  // kRoot
+      break;
+  }
+  return g;
+}
+
+bool same_prim_bits(const Prim& a, const Prim& b) {
+  return std::memcmp(&a, &b, sizeof(Prim)) == 0;
+}
+
+class SrmhdWarmStart : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SrmhdWarmStart, EveryGuessSlabMatchesPerZoneBitwise) {
+  const std::size_t n = GetParam();
+  const auto in = c2p_inputs(n, 600u + static_cast<unsigned>(n));
+  srmhd::Con2PrimOptions starved;
+  starved.max_iterations = 2;
+  long long warm_iters = 0;
+  long long cold_iters = 0;
+  // Every kind lands on every lane position as the shift walks.
+  for (int shift = 0; shift < kNumGuessKinds; ++shift) {
+    SCOPED_TRACE(::testing::Message() << "shift " << shift);
+    std::vector<Prim> guess(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const int kind = (static_cast<int>(i) + shift) % kNumGuessKinds;
+      const srmhd::Con2PrimResult cold = srmhd::cons_to_prim(in[i], kEos);
+      guess[i] = make_guess(kind, cold.prim);
+      const srmhd::Con2PrimResult warm =
+          srmhd::cons_to_prim(in[i], kEos, {}, guess[i]);
+      if (srmhd_cold_guess(kind)) {
+        // An inadmissible guess, a zero-filled slab included, is the
+        // no-guess call bit for bit.
+        EXPECT_TRUE(same_prim_bits(warm.prim, cold.prim)) << "zone " << i;
+        EXPECT_EQ(warm.iterations, cold.iterations) << "zone " << i;
+        EXPECT_EQ(warm.floored, cold.floored) << "zone " << i;
+      }
+      if (kind == kRoot && cold.converged) {
+        warm_iters += warm.iterations;
+        cold_iters += cold.iterations;
+      }
+    }
+    expect_c2p_matches_reference(in, {}, guess);
+    expect_c2p_matches_reference(in, starved, guess);
+  }
+  // Restarting at the root saves Newton work overall.
+  EXPECT_LE(warm_iters, cold_iters);
+}
+
+INSTANTIATE_TEST_SUITE_P(TailLengths, SrmhdWarmStart,
+                         ::testing::Range<std::size_t>(0, 18));
+
+// --- analytic Newton slope -------------------------------------------------
+
+// c2p_evaluate's df against a centred fourth-order finite difference of f
+// over W up to 10, B^2 from 0 to 100 rho and S.B != 0, at z around the
+// root, wherever the residual is physical across the stencil.
+TEST(SrmhdCon2Prim, AnalyticSlopeMatchesFiniteDifference) {
+  int checked = 0;
+  for (const double W : {1.05, 1.2, 2.0, 5.0, 10.0}) {
+    for (const double b2_over_rho : {0.0, 1e-2, 1.0, 10.0, 100.0}) {
+      for (const double p : {1e-2, 1.0, 30.0}) {
+        const double v = std::sqrt(1.0 - 1.0 / (W * W));
+        const double b = std::sqrt(b2_over_rho);  // rho = 1
+        // v and B oblique, so S.B != 0 whenever B != 0.
+        const Prim w = make_prim(1.0, 0.6 * v, 0.8 * v, 0.0, p, 0.8 * b,
+                                 0.0, 0.6 * b);
+        const Cons u = srmhd::prim_to_cons(w, kEos);
+        const auto in = srmhd::detail::c2p_input(u);
+        if (b > 0.0) {
+          EXPECT_NE(in.sb, 0.0);
+        }
+        const double root = srmhd::detail::c2p_guess(w, kEos);
+        for (const double scale : {0.7, 0.95, 1.0, 1.05, 1.5, 3.0}) {
+          const double z = scale * root;
+          const double h = 1e-5 * z;
+          const auto f = [&](double zz) {
+            return srmhd::detail::c2p_evaluate(in, zz, kEos);
+          };
+          const auto r = f(z);
+          bool physical = r.physical;
+          for (const double dz : {-2.0 * h, -h, h, 2.0 * h}) {
+            physical = physical && f(z + dz).physical;
+          }
+          if (!physical) continue;
+          const double fd = (f(z - 2.0 * h).f - 8.0 * f(z - h).f +
+                             8.0 * f(z + h).f - f(z + 2.0 * h).f) /
+                            (12.0 * h);
+          EXPECT_NEAR(r.df, fd, 1e-6 * std::abs(fd))
+              << "W=" << W << " B^2/rho=" << b2_over_rho << " p=" << p
+              << " z/z*=" << scale;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 300);
 }
 
 }  // namespace
