@@ -86,7 +86,7 @@ int main() {
 
     // Staged: upload 5 arrays, run kernel, download 5 arrays — every call.
     device::AccelModel model;  // defaults: 10us latency, 12 GB/s, 8us launch
-    auto dev = device::make_device(device::Backend::kAccelSim, model);
+    auto dev = device::make_device(model);
     std::array<device::Buffer, 10> bufs;
     for (auto& b : bufs) b = dev->alloc(n);
     WallTimer ta;

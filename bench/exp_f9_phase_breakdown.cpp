@@ -25,45 +25,31 @@ struct RegistryPhases {
   }
 };
 
-RegistryPhases read_registry_phases() {
-  const auto snap = rshc::obs::Registry::global().snapshot();
-  RegistryPhases p;
-  p.exchange = snap.value_or("solver.phase.exchange");
-  p.rhs = snap.value_or("solver.phase.rhs");
-  p.update = snap.value_or("solver.phase.update") +
-             snap.value_or("solver.phase.c2p");
-  p.other = snap.value_or("solver.phase.other");
-  return p;
-}
-
-/// Run the measured loop and report its phase split. With the obs layer
-/// compiled in, the breakdown comes from the metrics registry; otherwise
-/// fall back to the solver's built-in wall timers.
+/// Run the measured loop and read its phase split back from the registry.
 template <typename Solver>
-auto measure_phases(Solver& s, int nsteps) {
+RegistryPhases measure_phases(Solver& s, int nsteps) {
   s.step(s.compute_dt());  // warm-up outside the measurement
-  s.reset_phase_times();
-#if RSHC_OBS_ENABLED
-  rshc::obs::Registry::global().reset();
+  auto& registry = rshc::obs::Registry::global();
+  registry.reset();
   for (int i = 0; i < nsteps; ++i) s.step(s.compute_dt());
-  RegistryPhases p = read_registry_phases();
-  if (p.total() <= 0.0) {
-    // Runtime-disabled (RSHC_OBS=0): the registry saw nothing — use the
-    // solver's built-in wall timers instead of dividing by zero.
-    const auto& w = s.phase_times();
-    p = {w.exchange, w.rhs, w.update, w.other};
-  }
-  return p;
-#else
-  for (int i = 0; i < nsteps; ++i) s.step(s.compute_dt());
-  return s.phase_times();
-#endif
+  const auto snap = registry.snapshot();
+  return {snap.value_or("solver.phase.exchange"),
+          snap.value_or("solver.phase.rhs"),
+          snap.value_or("solver.phase.update") +
+              snap.value_or("solver.phase.c2p"),
+          snap.value_or("solver.phase.other")};
 }
 
 }  // namespace
 
 int main() {
   using namespace rshc;
+  if (RSHC_OBS_ENABLED == 0 || !obs::enabled()) {
+    // The solver.phase.* timers are the only phase clocks there are.
+    std::cerr << "exp_f9_phase_breakdown: needs the obs layer (a build "
+                 "with RSHC_OBS=ON, run without RSHC_OBS=0); no table\n";
+    return 1;
+  }
   constexpr long long kN = 96;
   constexpr int kSteps = 10;
 

@@ -1,13 +1,9 @@
 #pragma once
-// Execution devices (DESIGN.md system #4). Three backends:
-//   kHostScalar — kernels run inline on the calling thread (baseline).
-//   kHostSimd   — kernels run inline but callers select the vectorized
-//                 kernel variants (see srhd/kernels_simd.*).
-//   kAccelSim   — simulated accelerator: dedicated in-order stream workers
-//                 execute kernels in submission order, and all data movement
-//                 goes through upload/download with a modeled PCIe-like cost
-//                 (latency + bandwidth), exercising the same staging and
-//                 overlap logic a real GPU offload needs.
+// Execution devices (DESIGN.md system #4): a simulated accelerator whose
+// dedicated in-order stream workers execute kernels in submission order,
+// while all data movement goes through upload/download with a modeled
+// PCIe-like cost (latency + bandwidth), exercising the same staging and
+// overlap logic a real GPU offload needs. Host code always stages its data.
 //
 // Streams follow the CUDA model: every device starts with one default
 // stream (id 0); create_stream() adds further independent in-order queues.
@@ -18,16 +14,11 @@
 
 #include <functional>
 #include <memory>
-#include <string_view>
 
 #include "rshc/device/buffer.hpp"
 #include "rshc/device/event.hpp"
 
 namespace rshc::device {
-
-enum class Backend { kHostScalar, kHostSimd, kAccelSim };
-
-[[nodiscard]] std::string_view backend_name(Backend b);
 
 /// In-order work queue handle; 0 is the default stream every device owns.
 using StreamId = int;
@@ -48,17 +39,9 @@ class Device {
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
-  [[nodiscard]] virtual Backend backend() const = 0;
-  [[nodiscard]] std::string_view name() const {
-    return backend_name(backend());
-  }
-  /// True when host code must stage data via upload/download.
-  [[nodiscard]] virtual bool requires_staging() const = 0;
-
   [[nodiscard]] virtual Buffer alloc(std::size_t n) = 0;
 
-  /// New independent in-order stream; returns its id. Host devices execute
-  /// everything inline, so their "streams" are trivially ordered.
+  /// New independent in-order stream; returns its id.
   [[nodiscard]] virtual StreamId create_stream() = 0;
 
   /// Asynchronous host->device copy (ordered w.r.t. other work on `stream`).
@@ -81,7 +64,7 @@ class Device {
   Device() = default;
 };
 
-/// Factory. The accelerator backend accepts a cost model.
-std::unique_ptr<Device> make_device(Backend backend, AccelModel model = {});
+/// Factory: a simulated accelerator with cost model `model`.
+std::unique_ptr<Device> make_device(AccelModel model = {});
 
 }  // namespace rshc::device

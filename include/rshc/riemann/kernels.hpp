@@ -25,7 +25,7 @@ namespace rshc::riemann::kernels {
 
 // NOLINTBEGIN(bugprone-easily-swappable-parameters) — SoA rows by design.
 #define RSHC_DECLARE_FACE_KERNELS                                             \
-  /* SRHD faces: LLF / HLL / HLLC (kExact has no batched kernel). */          \
+  /* SRHD faces: LLF / HLL / HLLC, and kExact (a scalar loop). */             \
   void srhd_faces_n(std::size_t n, int axis, Solver solver,                   \
                     const double* const* wl, const double* const* wr,         \
                     double* const* f, const eos::IdealGas& eos,               \

@@ -34,7 +34,6 @@
 #include "rshc/mesh/halo.hpp"
 #include "rshc/parallel/task_graph.hpp"
 #include "rshc/parallel/thread_pool.hpp"
-#include "rshc/common/timer.hpp"
 #include "rshc/recon/reconstruct.hpp"
 #include "rshc/solver/physics.hpp"
 #include "rshc/time/integrator.hpp"
@@ -155,21 +154,6 @@ class FvSolver {
   /// stepping).
   void compute_rhs_all();
 
-  /// Per-phase wall-time breakdown, accumulated on the *serial* stepping
-  /// path only (experiment F9). Parallel paths skip the timers to avoid
-  /// cross-thread races.
-  struct PhaseTimes {
-    double exchange = 0.0;  ///< halo copies + boundary conditions
-    double rhs = 0.0;       ///< reconstruction + Riemann + flux differencing
-    double update = 0.0;    ///< RK combination + con2prim
-    double other = 0.0;     ///< state save, psi damping, bookkeeping
-    [[nodiscard]] double total() const {
-      return exchange + rhs + update + other;
-    }
-  };
-  [[nodiscard]] const PhaseTimes& phase_times() const { return phases_; }
-  void reset_phase_times() { phases_ = {}; }
-
   /// Replace the default shared-memory ghost fill for block `b` with a
   /// custom routine — the hook the distributed (message-passing) driver
   /// uses to splice halo exchange over a Communicator into the same
@@ -257,7 +241,6 @@ class FvSolver {
   double time_ = 0.0;
   double current_dt_ = 0.0;
   long long steps_taken_ = 0;
-  PhaseTimes phases_;
 
   // Lazily constructed on the first kDevice step; owns the per-block
   // device arenas (see device_exec.hpp).

@@ -100,10 +100,10 @@ struct SrhdPhysics {
                           double* speed, const Context& ctx, int ndim);
   /// Batched limiter + Riemann solve + flux over n interfaces: `wl`/`wr`
   /// hold kNumPrim face-state rows, `f` receives kNumCons flux rows.
-  /// Returns false when the configured solver has no batched kernel (the
-  /// exact Godunov solve) — the caller then falls back to the
-  /// per-interface path. Bitwise identical to limit_face_state +
-  /// interface_flux per zone.
+  /// Every solver has a batched kernel, so this always returns true; the
+  /// return value and `simd` stay until the scalar/simd kernel pairs
+  /// merge, because the perfbench layer probe reads both. Bitwise
+  /// identical to limit_face_state + interface_flux per zone.
   static bool interface_flux_n(bool simd, std::size_t n, int axis,
                                const double* const* wl,
                                const double* const* wr, double* const* f,

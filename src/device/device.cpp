@@ -14,15 +14,6 @@
 
 namespace rshc::device {
 
-std::string_view backend_name(Backend b) {
-  switch (b) {
-    case Backend::kHostScalar: return "host-scalar";
-    case Backend::kHostSimd:   return "host-simd";
-    case Backend::kAccelSim:   return "accel-sim";
-  }
-  return "unknown";
-}
-
 namespace {
 
 int next_device_id() {
@@ -37,59 +28,6 @@ void count_h2d(std::size_t bytes) {
 void count_d2h(std::size_t bytes) {
   RSHC_OBS_COUNT("device.d2h.bytes", static_cast<std::int64_t>(bytes));
 }
-
-/// Host devices: no separate arena, everything executes inline; streams are
-/// trivially ordered because each op completes before the call returns.
-class HostDevice final : public Device {
- public:
-  explicit HostDevice(Backend backend)
-      : backend_(backend), id_(next_device_id()) {}
-
-  [[nodiscard]] Backend backend() const override { return backend_; }
-  [[nodiscard]] bool requires_staging() const override { return false; }
-
-  [[nodiscard]] Buffer alloc(std::size_t n) override { return Buffer(n, id_); }
-
-  [[nodiscard]] StreamId create_stream() override { return ++last_stream_; }
-
-  Event upload_async(std::span<const double> host, Buffer& dst,
-                     StreamId) override {
-    RSHC_REQUIRE(host.size() == dst.size(), "upload size mismatch");
-    count_h2d(host.size_bytes());
-    std::memcpy(dst.device_view().data(), host.data(),
-                host.size() * sizeof(double));
-    Event e;
-    e.set();
-    return e;
-  }
-
-  Event download_async(const Buffer& src, std::span<double> host,
-                       StreamId) override {
-    RSHC_REQUIRE(host.size() == src.size(), "download size mismatch");
-    count_d2h(host.size_bytes());
-    std::memcpy(host.data(), src.device_view().data(),
-                host.size() * sizeof(double));
-    Event e;
-    e.set();
-    return e;
-  }
-
-  Event launch(std::function<void()> kernel, std::size_t, StreamId) override {
-    kernel();
-    Event e;
-    e.set();
-    return e;
-  }
-
-  void wait_event(StreamId, Event event) override { event.wait(); }
-
-  void synchronize() override {}
-
- private:
-  Backend backend_;
-  int id_;
-  StreamId last_stream_ = 0;
-};
 
 /// Simulated accelerator: one in-order worker thread per stream, modeled
 /// transfer and launch costs. The "delay" is imposed by making the worker
@@ -107,11 +45,6 @@ class AccelDevice final : public Device {
   ~AccelDevice() override {
     for (auto& s : streams_) s->stop();
   }
-
-  [[nodiscard]] Backend backend() const override {
-    return Backend::kAccelSim;
-  }
-  [[nodiscard]] bool requires_staging() const override { return true; }
 
   [[nodiscard]] Buffer alloc(std::size_t n) override { return Buffer(n, id_); }
 
@@ -292,11 +225,8 @@ class AccelDevice final : public Device {
 
 }  // namespace
 
-std::unique_ptr<Device> make_device(Backend backend, AccelModel model) {
-  if (backend == Backend::kAccelSim) {
-    return std::make_unique<AccelDevice>(model);
-  }
-  return std::make_unique<HostDevice>(backend);
+std::unique_ptr<Device> make_device(AccelModel model) {
+  return std::make_unique<AccelDevice>(model);
 }
 
 }  // namespace rshc::device

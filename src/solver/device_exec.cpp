@@ -100,7 +100,7 @@ DeviceExec<Physics>::DeviceExec(const mesh::Grid& grid,
                                 recon::Method recon,
                                 device::AccelModel model)
     : grid_(&grid), blocks_(&blocks), ctx_(ctx), recon_(recon) {
-  dev_ = device::make_device(device::Backend::kAccelSim, model);
+  dev_ = device::make_device(model);
   compute_ = device::kDefaultStream;
   transfer_ = dev_->create_stream();
   arenas_.reserve(blocks.size());

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "rshc/check/check.hpp"
+#include "rshc/common/timer.hpp"
 #include "rshc/obs/obs.hpp"
 #include "rshc/solver/device_exec.hpp"
 #include "rshc/solver/rhs_core.hpp"
@@ -390,27 +391,18 @@ double FvSolver<Physics>::compute_dt() const {
 template <typename Physics>
 void FvSolver<Physics>::stage_serial(int stage, double dt) {
   const auto coeffs = time::stage_coeffs(opt_.integrator, stage);
-  WallTimer t;
   if (overlap_active()) {
     // Latency-hiding schedule: post every face exchange up front, compute
     // the ghost-free interior while messages fly, and finish boundary
     // boxes as their faces land. The exchange phase is the pack+post cost
     // only; the waits hide inside the rhs phase (that is the point).
     for (int b = 0; b < num_blocks(); ++b) overlap_begin_(b);
-    phases_.exchange += t.seconds();
-    t.reset();
     for (int b = 0; b < num_blocks(); ++b) compute_rhs_overlapped(b);
-    phases_.rhs += t.seconds();
   } else {
     for (int b = 0; b < num_blocks(); ++b) exchange_block(b);
-    phases_.exchange += t.seconds();
-    t.reset();
     for (int b = 0; b < num_blocks(); ++b) compute_rhs(b);
-    phases_.rhs += t.seconds();
   }
-  t.reset();
   for (int b = 0; b < num_blocks(); ++b) update_block(b, coeffs, dt);
-  phases_.update += t.seconds();
 }
 
 // Device-offload step: establish residency (full upload, first step only),
@@ -473,15 +465,11 @@ void FvSolver<Physics>::step(double dt) {
     step_device(dt);
   } else {
     current_dt_ = dt;
-    WallTimer t;
     save_state();
-    phases_.other += t.seconds();
     for (int s = 0; s < time::num_stages(opt_.integrator); ++s) {
       stage_serial(s, dt);
     }
-    t.reset();
     post_step_all();
-    phases_.other += t.seconds();
     time_ += dt;
   }
   ++steps_taken_;

@@ -45,7 +45,6 @@ bool SrhdPhysics::interface_flux_n(bool simd, std::size_t n, int axis,
                                    const double* const* wl,
                                    const double* const* wr, double* const* f,
                                    const Context& ctx) {
-  if (ctx.riemann == riemann::Solver::kExact) return false;
   const auto run = simd ? &riemann::kernels::simd::srhd_faces_n
                         : &riemann::kernels::scalar::srhd_faces_n;
   run(n, axis, ctx.riemann, wl, wr, f, ctx.eos, ctx.c2p.rho_floor,

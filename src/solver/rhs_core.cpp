@@ -29,12 +29,12 @@ BlockShape shape_of(const mesh::Block& blk, const mesh::Grid& grid) {
 // lane per pencil, straight from the slab rows (no gather). Either way the
 // method is dispatched once per tile and variable, and every cell runs the
 // same per-cell body. The batched face kernels then run once per pencil
-// (x) or once per interface plane over the tile's lanes (y/z), and the du
-// accumulation preserves the reference's per-cell add order (+left
-// interface first, then -right) and expression shapes — bitwise
-// identical. This single compiled instantiation also serves as the device
-// kernel body, so the device pipeline inherits the same bits by
-// construction.
+// (x) or once per interface plane over the tile's lanes (y/z), for every
+// Riemann solver and every build, and the du accumulation preserves the
+// reference's per-cell add order (+left interface first, then -right) and
+// expression shapes — bitwise identical. This single compiled
+// instantiation also serves as the device kernel body, so the device
+// pipeline inherits the same bits by construction.
 template <typename Physics>
 void rhs_batched_range(const BlockShape& sh,
                        const typename Physics::Context& ctx,
@@ -43,8 +43,6 @@ void rhs_batched_range(const BlockShape& sh,
                        [[maybe_unused]] int block_id,
                        const std::array<int, 3>& lo,
                        const std::array<int, 3>& hi, bool zero_du) {
-  using Prim = typename Physics::Prim;
-  using Cons = typename Physics::Cons;
   constexpr auto K = static_cast<std::size_t>(kTileRows);
   const std::size_t cells = sh.cells();
   if (zero_du) {
@@ -132,74 +130,56 @@ void rhs_batched_range(const BlockShape& sh,
           }
         }
 
-        // Limiter + Riemann solve + flux for the tile's interfaces. The
-        // fast path hands unit-stride face-state lines to the batched face
-        // kernels (riemann/kernels.hpp): one call per pencil on x (nif
-        // interfaces), one per interface plane on y/z (rows lanes). The
-        // per-interface loop below stays as the fallback for the exact
-        // solver and for checks-enabled builds, where the checker wants
-        // zone provenance at the failing interface.
-        bool staged = false;
-#if !RSHC_CHECKS_ENABLED
-        {
-          const std::size_t nlines = along ? urows : nif;
-          const std::size_t len = along ? nif : urows;
-          const double* wlp[Physics::kNumPrim];
-          const double* wrp[Physics::kNumPrim];
-          double* flp[Physics::kNumCons];
-          staged = true;
-          for (std::size_t line = 0; line < nlines && staged; ++line) {
-            const auto l = static_cast<int>(line);
-            const std::size_t off = along ? at(l, fb - 1) : at(0, fb - 1 + l);
-            const std::size_t next = along ? off + 1 : off + K;
-            for (int v = 0; v < Physics::kNumPrim; ++v) {
-              wlp[v] = s.tqr[v].data() + off;
-              wrp[v] = s.tql[v].data() + next;
-            }
-            for (int v = 0; v < Physics::kNumCons; ++v) {
-              flp[v] = s.tfl[v].data() + off;
-            }
-            staged =
-                Physics::interface_flux_n(true, len, axis, wlp, wrp, flp, ctx);
+        // Limiter + Riemann solve + flux for the tile's interfaces, for
+        // every solver and every build: the batched face kernels
+        // (riemann/kernels.hpp) take unit-stride face-state lines, one call
+        // per pencil on x (nif interfaces), one per interface plane on y/z
+        // (rows lanes). Checked builds then check each line, adding code
+        // without changing which code runs.
+        const std::size_t nlines = along ? urows : nif;
+        const std::size_t len = along ? nif : urows;
+        const double* wlp[Physics::kNumPrim];
+        const double* wrp[Physics::kNumPrim];
+        double* flp[Physics::kNumCons];
+        for (std::size_t line = 0; line < nlines; ++line) {
+          const auto l = static_cast<int>(line);
+          const std::size_t off = along ? at(l, fb - 1) : at(0, fb - 1 + l);
+          const std::size_t next = along ? off + 1 : off + K;
+          for (int v = 0; v < Physics::kNumPrim; ++v) {
+            wlp[v] = s.tqr[v].data() + off;
+            wrp[v] = s.tql[v].data() + next;
           }
-        }
-#endif
-        if (!staged) {
-          double comp[Physics::kNumPrim];
-          double fc[Physics::kNumCons];
-          for (int t = 0; t < rows; ++t) {
-            for (int f = fb - 1; f < fe; ++f) {
-              const std::size_t uf = at(t, f);
-              const std::size_t uf1 = at(t, f + 1);
-              for (int v = 0; v < Physics::kNumPrim; ++v) {
-                comp[v] = s.tqr[v][uf];
-              }
-              Prim wl = Physics::prim_from_components(comp);
-              for (int v = 0; v < Physics::kNumPrim; ++v) {
-                comp[v] = s.tql[v][uf1];
-              }
-              Prim wr = Physics::prim_from_components(comp);
-              Physics::limit_face_state(wl, ctx);
-              Physics::limit_face_state(wr, ctx);
-              const Cons flux = Physics::interface_flux(wl, wr, axis, ctx);
+          for (int v = 0; v < Physics::kNumCons; ++v) {
+            flp[v] = s.tfl[v].data() + off;
+          }
+          Physics::interface_flux_n(true, len, axis, wlp, wrp, flp, ctx);
 #if RSHC_CHECKS_ENABLED
-              {
-                int idx[3];
-                idx[axis] = f;
-                idx[a1] = t10 + t;
-                idx[a2] = t2;
-                RSHC_CHECK_PRIM("flux", wl, block_id, idx[0], idx[1], idx[2]);
-                RSHC_CHECK_PRIM("flux", wr, block_id, idx[0], idx[1], idx[2]);
-                RSHC_CHECK_CONS("flux", flux, block_id, idx[0], idx[1],
-                                idx[2]);
-              }
-#endif
-              Physics::cons_components(flux, fc);
-              for (int v = 0; v < Physics::kNumCons; ++v) {
-                s.tfl[v][uf] = fc[v];
-              }
+          // Limited copies of both face states must be physical and the
+          // flux finite; interface f+1/2 of pencil t reports zone
+          // (idx[axis] = f, idx[a1] = t10 + t, idx[a2] = t2).
+          for (std::size_t i = 0; i < len; ++i) {
+            const auto ui = static_cast<int>(i);
+            int idx[3];
+            idx[axis] = fb - 1 + (along ? ui : l);
+            idx[a1] = t10 + (along ? l : ui);
+            idx[a2] = t2;
+            double comp[Physics::kNumPrim];
+            for (int v = 0; v < Physics::kNumPrim; ++v) comp[v] = wlp[v][i];
+            auto wl = Physics::prim_from_components(comp);
+            for (int v = 0; v < Physics::kNumPrim; ++v) comp[v] = wrp[v][i];
+            auto wr = Physics::prim_from_components(comp);
+            Physics::limit_face_state(wl, ctx);
+            Physics::limit_face_state(wr, ctx);
+            RSHC_CHECK_PRIM("flux", wl, block_id, idx[0], idx[1], idx[2]);
+            RSHC_CHECK_PRIM("flux", wr, block_id, idx[0], idx[1], idx[2]);
+            double fc[Physics::kNumCons];
+            for (int v = 0; v < Physics::kNumCons; ++v) fc[v] = flp[v][i];
+            if (check::violates_finite(fc) != nullptr) {
+              check::fail("flux", "non-finite flux", __FILE__, __LINE__,
+                          {block_id, idx[0], idx[1], idx[2]});
             }
           }
+#endif
         }
 
         // Accumulate flux differences. Each interior cell takes + its left

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "rshc/check/check.hpp"
@@ -238,6 +240,52 @@ TEST(CheckSolver, SaneFloorsHealNaNZoneWithoutViolations) {
   const auto rho = s.gather_prim_var(srhd::kRho);
   for (const double r : rho) EXPECT_TRUE(std::isfinite(r));
 }
+
+#if RSHC_CHECKS_ENABLED
+// A NaN prim zone reaches the batched face kernels unchanged (NaN passes
+// limit_face's std::max and the velocity cap). The row checks that follow
+// each kernel call must name the interfaces beside it, on the row-major x
+// tiles and on the plane-major y tiles alike.
+TEST(CheckSolver, NaNFaceStateIsReportedAtItsInterfaceOnEveryAxis) {
+  auto opt = periodic_opts();
+  opt.recon = recon::Method::kPCM;
+  const mesh::Grid g = mesh::Grid::make_2d(8, 8, 0.0, 1.0, 0.0, 1.0);
+  solver::SrhdSolver s(g, opt);
+  s.initialize([](double, double, double) {
+    return srhd::Prim{1.0, 0.1, -0.1, 0.0, 1.0};
+  });
+  auto& blk = s.block(0);
+  const int i0 = blk.begin(0) + 4;
+  const int j0 = blk.begin(1) + 3;
+  blk.prim()(srhd::kRho, 0, j0, i0) = kNaN;
+
+  // Count mode keeps only the last report; the hook keeps them all.
+  static std::vector<std::string> reports;
+  reports.clear();
+  CountScope scope;
+  check::set_failure_hook([](const char* r) { reports.emplace_back(r); });
+  s.compute_rhs_all();
+  check::set_failure_hook(nullptr);
+
+  EXPECT_GE(check::violation_count(), 1);
+  const auto reported = [](int i, int j) {
+    const std::string zone = "zone i=" + std::to_string(i) +
+                             " j=" + std::to_string(j) + " k=0)";
+    return std::any_of(reports.begin(), reports.end(),
+                       [&zone](const std::string& r) {
+                         return r.find("[flux]") != std::string::npos &&
+                                r.find(zone) != std::string::npos;
+                       });
+  };
+  // Interface (i0 - 1/2, j0) exists only on the x axis, and
+  // (i0, j0 - 1/2) only on the y axis; each reports its left zone.
+  EXPECT_TRUE(reported(i0 - 1, j0)) << check::last_violation();
+  EXPECT_TRUE(reported(i0, j0 - 1)) << check::last_violation();
+  // Interfaces that do not touch the poisoned zone stay silent.
+  EXPECT_FALSE(reported(i0 - 2, j0));
+  EXPECT_FALSE(reported(i0, j0 - 2));
+}
+#endif  // RSHC_CHECKS_ENABLED
 
 // --- halo buffer checks --------------------------------------------------
 

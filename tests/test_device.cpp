@@ -16,10 +16,8 @@ namespace {
 
 using namespace rshc::device;
 
-class AllBackends : public ::testing::TestWithParam<Backend> {};
-
-TEST_P(AllBackends, UploadDownloadRoundTrip) {
-  auto dev = make_device(GetParam());
+TEST(Device, UploadDownloadRoundTrip) {
+  auto dev = make_device();
   std::vector<double> in(257);
   std::iota(in.begin(), in.end(), 0.0);
   Buffer buf = dev->alloc(in.size());
@@ -30,8 +28,8 @@ TEST_P(AllBackends, UploadDownloadRoundTrip) {
   EXPECT_EQ(in, out);
 }
 
-TEST_P(AllBackends, LaunchSeesUploadedData) {
-  auto dev = make_device(GetParam());
+TEST(Device, LaunchSeesUploadedData) {
+  auto dev = make_device();
   std::vector<double> in(100, 2.0);
   Buffer buf = dev->alloc(in.size());
   dev->upload_async(in, buf);
@@ -45,8 +43,8 @@ TEST_P(AllBackends, LaunchSeesUploadedData) {
   for (const double x : out) EXPECT_DOUBLE_EQ(x, 6.0);
 }
 
-TEST_P(AllBackends, KernelsExecuteInSubmissionOrder) {
-  auto dev = make_device(GetParam());
+TEST(Device, KernelsExecuteInSubmissionOrder) {
+  auto dev = make_device();
   Buffer buf = dev->alloc(1);
   std::vector<double> one{1.0};
   dev->upload_async(one, buf);
@@ -60,33 +58,16 @@ TEST_P(AllBackends, KernelsExecuteInSubmissionOrder) {
   EXPECT_DOUBLE_EQ(out[0], 20.0);
 }
 
-TEST_P(AllBackends, SizeMismatchThrows) {
-  auto dev = make_device(GetParam());
+TEST(Device, SizeMismatchThrows) {
+  auto dev = make_device();
   Buffer buf = dev->alloc(4);
   std::vector<double> wrong(5);
   EXPECT_THROW(dev->upload_async(wrong, buf), rshc::Error);
   EXPECT_THROW(dev->download_async(buf, wrong), rshc::Error);
 }
 
-TEST_P(AllBackends, NamesAreDistinct) {
-  auto dev = make_device(GetParam());
-  EXPECT_EQ(dev->backend(), GetParam());
-  EXPECT_FALSE(dev->name().empty());
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, AllBackends,
-                         ::testing::Values(Backend::kHostScalar,
-                                           Backend::kHostSimd,
-                                           Backend::kAccelSim));
-
-TEST(Device, HostBackendsNeedNoStaging) {
-  EXPECT_FALSE(make_device(Backend::kHostScalar)->requires_staging());
-  EXPECT_FALSE(make_device(Backend::kHostSimd)->requires_staging());
-  EXPECT_TRUE(make_device(Backend::kAccelSim)->requires_staging());
-}
-
 TEST(Device, EventsSignalCompletion) {
-  auto dev = make_device(Backend::kAccelSim);
+  auto dev = make_device();
   std::atomic<bool> ran{false};
   Event e = dev->launch([&ran] { ran.store(true); });
   e.wait();
@@ -97,7 +78,7 @@ TEST(Device, EventsSignalCompletion) {
 TEST(Device, AccelIsAsynchronous) {
   AccelModel model;
   model.launch_overhead_sec = 20e-3;
-  auto dev = make_device(Backend::kAccelSim, model);
+  auto dev = make_device(model);
   rshc::WallTimer t;
   Event e = dev->launch([] {}, /*work_items=*/1);
   const double submit_time = t.seconds();
@@ -112,7 +93,7 @@ TEST(Device, AccelTransferCostScalesWithBytes) {
   AccelModel model;
   model.transfer_latency_sec = 0.0;
   model.transfer_bandwidth_bytes_per_sec = 1e8;  // deliberately slow: 100MB/s
-  auto dev = make_device(Backend::kAccelSim, model);
+  auto dev = make_device(model);
   std::vector<double> big(1 << 17);  // 1 MiB -> ~10 ms at 100 MB/s
   Buffer buf = dev->alloc(big.size());
   rshc::WallTimer t;
@@ -124,7 +105,7 @@ TEST(Device, AccelTransferCostScalesWithBytes) {
 TEST(Device, UntimedLaunchSkipsOverhead) {
   AccelModel model;
   model.launch_overhead_sec = 50e-3;
-  auto dev = make_device(Backend::kAccelSim, model);
+  auto dev = make_device(model);
   rshc::WallTimer t;
   for (int i = 0; i < 5; ++i) {
     dev->launch([] {}, /*work_items=*/0);
@@ -134,8 +115,8 @@ TEST(Device, UntimedLaunchSkipsOverhead) {
 }
 
 TEST(Device, BuffersTrackOwningDevice) {
-  auto a = make_device(Backend::kHostScalar);
-  auto b = make_device(Backend::kHostScalar);
+  auto a = make_device();
+  auto b = make_device();
   Buffer ba = a->alloc(1);
   Buffer bb = b->alloc(1);
   EXPECT_NE(ba.device_id(), bb.device_id());
@@ -148,13 +129,13 @@ TEST(Device, BuffersTrackOwningDevice) {
 // transfer stream after a second wait_event. With a modeled transfer
 // latency the kernel would race ahead of the upload if the fence were
 // broken, so a correct result here means the fences actually held.
-TEST_P(AllBackends, CrossStreamEventFencesOrderWork) {
+TEST(Device, CrossStreamEventFencesOrderWork) {
   AccelModel model;
   model.transfer_latency_sec = 5e-3;
   model.transfer_bandwidth_bytes_per_sec =
       std::numeric_limits<double>::infinity();
   model.launch_overhead_sec = 0.0;
-  auto dev = make_device(GetParam(), model);
+  auto dev = make_device(model);
   const StreamId compute = kDefaultStream;
   const StreamId transfer = dev->create_stream();
 
@@ -177,7 +158,7 @@ TEST_P(AllBackends, CrossStreamEventFencesOrderWork) {
 }
 
 TEST(Device, StreamsRunIndependentlyUntilFenced) {
-  auto dev = make_device(Backend::kAccelSim);
+  auto dev = make_device();
   const StreamId s1 = dev->create_stream();
   // A kernel parked on the default stream must not block a later kernel
   // submitted to another stream (no implicit cross-stream ordering).
@@ -205,7 +186,7 @@ TEST(Device, MissingCrossStreamFenceIsObservable) {
   model.transfer_bandwidth_bytes_per_sec =
       std::numeric_limits<double>::infinity();
   model.launch_overhead_sec = 0.0;
-  auto dev = make_device(Backend::kAccelSim, model);
+  auto dev = make_device(model);
   const StreamId transfer = dev->create_stream();
   std::vector<double> in(8, 1.0);
   Buffer buf = dev->alloc(in.size());
@@ -236,7 +217,7 @@ TEST(Device, MissingCrossStreamFenceIsObservable) {
 }
 
 TEST(Device, WaitEventOnCompletedEventIsNoOp) {
-  auto dev = make_device(Backend::kAccelSim);
+  auto dev = make_device();
   const StreamId s1 = dev->create_stream();
   Event e = dev->launch([] {});
   e.wait();

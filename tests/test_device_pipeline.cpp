@@ -444,16 +444,13 @@ std::unique_ptr<solver::SrhdSolver> make_evolved_solver(
   return s;
 }
 
-class OffloadBackends : public ::testing::TestWithParam<device::Backend> {};
-
 // Stage the interior conservatives, and as the guess the prims the last
-// con2prim started from, through `dev`'s buffers, run the batched con2prim
-// kernel there (the scalar variant on the scalar host backend, the simd
-// variant elsewhere) and bring the primitives back: every backend must
-// reproduce the in-place primitives bit for bit, since both kernel
-// variants are bitwise identical to the per-zone solve. The last step is
-// the pencil oracle's, which keeps those guesses.
-TEST_P(OffloadBackends, MatchesInPlacePrimitives) {
+// con2prim started from, through the accelerator's buffers, run the batched
+// simd con2prim kernel there and bring the primitives back: the device must
+// reproduce the in-place primitives bit for bit, since the kernel is
+// bitwise identical to the per-zone solve. The last step is the pencil
+// oracle's, which keeps those guesses.
+TEST(Offload, MatchesInPlacePrimitives) {
   auto sp = make_evolved_solver(solver::HostPipeline::kBatchedSimd,
                                 device::AccelModel{});
   auto& s = *sp;
@@ -490,7 +487,7 @@ TEST_P(OffloadBackends, MatchesInPlacePrimitives) {
     }
   }
 
-  auto dev = device::make_device(GetParam());
+  auto dev = device::make_device();
   std::array<device::Buffer, srhd::kNumVars> in_buf;
   std::array<device::Buffer, srhd::kNumVars> out_buf;
   for (int v = 0; v < srhd::kNumVars; ++v) {
@@ -505,14 +502,12 @@ TEST_P(OffloadBackends, MatchesInPlacePrimitives) {
                         view(in_buf[3]), view(in_buf[4])};
   double* const out[] = {view(out_buf[0]), view(out_buf[1]), view(out_buf[2]),
                          view(out_buf[3]), view(out_buf[4])};
-  const bool scalar = dev->backend() == device::Backend::kHostScalar;
   const double gamma = s.options().physics.eos.gamma();
   const auto c2p = s.options().physics.c2p;
   srhd::kernels::BatchStats batch;
   dev->launch(
       [&] {
-        batch = (scalar ? srhd::kernels::scalar::cons_to_prim_n
-                        : srhd::kernels::simd::cons_to_prim_n)(
+        batch = srhd::kernels::simd::cons_to_prim_n(
             n, in[srhd::kD], in[srhd::kSx], in[srhd::kSy], in[srhd::kSz],
             in[srhd::kTau], out[srhd::kRho], out[srhd::kVx], out[srhd::kVy],
             out[srhd::kVz], out[srhd::kP], gamma, c2p);
@@ -531,11 +526,6 @@ TEST_P(OffloadBackends, MatchesInPlacePrimitives) {
     EXPECT_EQ(count_bit_diffs(host_out[vi], ref[vi]), 0) << "prim var " << v;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, OffloadBackends,
-                         ::testing::Values(device::Backend::kHostScalar,
-                                           device::Backend::kHostSimd,
-                                           device::Backend::kAccelSim));
 
 // The device pipeline's transfers pay the accelerator model's latency: the
 // first step's residency upload (cons + prim) and each stage's rim download

@@ -154,7 +154,7 @@ INSTANTIATE_TEST_SUITE_P(
                           recon::Method::kPLMMC, recon::Method::kPLMVanLeer,
                           recon::Method::kPPM, recon::Method::kWENO5),
         ::testing::Values(riemann::Solver::kLLF, riemann::Solver::kHLL,
-                          riemann::Solver::kHLLC)));
+                          riemann::Solver::kHLLC, riemann::Solver::kExact)));
 
 using SrmhdCombo = std::tuple<int, recon::Method>;
 
@@ -328,6 +328,8 @@ void expect_scalar_kernels_match_oracle(
   EXPECT_EQ(flux_diffs, 0) << "scalar interface_flux_n drifted";
 }
 
+// HLLC, and the exact solver's row loop (the one face kernel that does not
+// vectorize).
 TEST(RhsPipeline, BatchedScalarMatchesPencilBitwiseSrhd) {
   const Case c = make_case(2);
   solver::SrhdSolver::Options opt;
@@ -335,10 +337,13 @@ TEST(RhsPipeline, BatchedScalarMatchesPencilBitwiseSrhd) {
   opt.cfl = 0.3;
   opt.bc.type = {mesh::BcType::kOutflow, mesh::BcType::kPeriodic,
                  mesh::BcType::kPeriodic};
-  opt.physics.riemann = riemann::Solver::kHLLC;
   opt.blocks = c.blocks;
-  expect_scalar_kernels_match_oracle<solver::SrhdPhysics>(c.grid, opt, srhd_ic,
-                                                          c.nsteps);
+  for (const auto rs : {riemann::Solver::kHLLC, riemann::Solver::kExact}) {
+    SCOPED_TRACE(riemann::solver_name(rs));
+    opt.physics.riemann = rs;
+    expect_scalar_kernels_match_oracle<solver::SrhdPhysics>(
+        c.grid, opt, srhd_ic, c.nsteps);
+  }
 }
 
 TEST(RhsPipeline, BatchedScalarMatchesPencilBitwiseSrmhd) {

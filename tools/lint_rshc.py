@@ -36,6 +36,10 @@ obs-raii-only     outside the obs module itself, spans and flow events may
                   flow_begin/flow_end calls can unbalance span begin/end
                   across the task-graph's work-stealing boundaries, and
                   bypass the RSHC_OBS=OFF compile-out gate.
+checks-add-only   no `#if !RSHC_CHECKS_ENABLED` in library code (include/,
+                  src/): a checked build may add checks around the code
+                  release runs, never swap in a different path, or the
+                  Debug and checks lanes stop testing what ships.
 supp-justified    every active entry in tools/sanitizers/*.supp must be
                   directly preceded by a justification comment (see
                   tools/sanitizers/README.md for what it must contain).
@@ -103,6 +107,9 @@ OBS_DIRECT = re.compile(
     r"record_span\s*\(|record_flow\s*\(|\bobs::TraceScope\b|"
     r"\bobs::PhaseScope\b|\bTraceScope\s+\w+\s*\(|\bPhaseScope\s+\w+\s*\(|"
     r"\bflow_begin\s*\(|\bflow_end\s*\(")
+
+CHECKS_OFF_BRANCH = re.compile(
+    r"^\s*#\s*(?:el)?if\s*!\s*RSHC_CHECKS_ENABLED\b")
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -194,6 +201,11 @@ class Linter:
                                 "std::atomic declaration without a memory-"
                                 "ordering comment on or above it")
 
+            if in_library and CHECKS_OFF_BRANCH.search(stripped):
+                self.report(rel, lineno, "checks-add-only",
+                            "checked builds may add code, not run other "
+                            "code: no #if !RSHC_CHECKS_ENABLED branch")
+
             if (not in_obs and not in_tests
                     and OBS_DIRECT.search(stripped)):
                 self.report(rel, lineno, "obs-raii-only",
@@ -282,6 +294,12 @@ SELFTEST_CASES = [
     ("src/obs/trace.cpp",
      "record_span(name, cat, id, t0, t1);",
      None),  # the obs module itself implements the direct calls
+    ("src/solver/s.cpp",
+     "#if !RSHC_CHECKS_ENABLED",
+     "checks-add-only"),
+    ("src/solver/s.cpp",
+     "#if RSHC_CHECKS_ENABLED",
+     None),  # checked builds may add code
 ]
 
 
