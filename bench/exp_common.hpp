@@ -5,6 +5,7 @@
 // to bench_results/<id>.csv for plotting.
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <memory>
@@ -34,6 +35,25 @@ inline void emit(const Table& table, const std::string& id) {
     obs::maybe_dump("bench_results/" + id);
   }
   std::cout << std::endl;
+}
+
+/// True when every block of `a` and `b` holds the same cons and prims bit
+/// for bit (the schedule harnesses' end-state check).
+template <typename Solver>
+bool same_state(const Solver& a, const Solver& b) {
+  if (a.num_blocks() != b.num_blocks()) return false;
+  auto same = [](const mesh::FieldArray& x, const mesh::FieldArray& y) {
+    return x.flat().size() == y.flat().size() &&
+           std::memcmp(x.flat().data(), y.flat().data(),
+                       x.flat().size() * sizeof(double)) == 0;
+  };
+  for (int blk = 0; blk < a.num_blocks(); ++blk) {
+    if (!same(a.block(blk).cons(), b.block(blk).cons()) ||
+        !same(a.block(blk).prim(), b.block(blk).prim())) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// Configured SRHD shock-tube solver on [0, 1].

@@ -1,7 +1,10 @@
 // Experiment F6 — communication/computation overlap (figure).
-// Part A (shared memory): dataflow vs bulk-sync time/step as the block
-// count grows at fixed problem size — more blocks means more pipelining
-// opportunity for dataflow and more barrier overhead for bulk-sync.
+// Part A (shared memory): the cost of the barrier between steps, the only
+// barrier the dataflow schedule has left. n one-step bursts
+// (run_steps_dataflow(1), a barrier after every step) against one n-step
+// graph (run_steps_dataflow(n), no barrier until the end), as the block
+// count grows at fixed problem size. Both end states must agree bit for
+// bit, or the harness exits 1.
 // Part B (message passing): distributed stepping under injected
 // per-message latency, synchronous vs latency-hiding exchange. The sync
 // schedule pays every halo wait on the critical path, so its cost per
@@ -10,9 +13,10 @@
 // remainder, so its latency slope is much shallower. Both columns step
 // the same bitwise-identical numerics (tests/test_overlap.cpp).
 //
-// Expected shape: A — dataflow's advantage grows with block count
-// (muted on this 1-core host); B — sync time/step grows roughly linearly
-// with injected latency while overlap's growth is mostly hidden
+// Expected shape: A — the fused graph's advantage grows with block count
+// where a step's tail leaves workers idle (bounded by the host's ~3.3
+// effective cores; see EXPERIMENTS.md); B — sync time/step grows roughly
+// linearly with injected latency while overlap's growth is mostly hidden
 // (overlap_speedup rising with latency).
 
 #include "rshc/parallel/thread_pool.hpp"
@@ -26,9 +30,11 @@ int main() {
   constexpr int kSteps = 6;
 
   // --- Part A: block-count sweep --------------------------------------
-  Table a({"blocks", "bulk_sec_per_step", "dataflow_sec_per_step",
-           "dataflow_speedup"});
-  a.set_title("F6a: overlap vs block count (96^2, 2 workers)");
+  Table a({"blocks", "bursts_sec_per_step", "fused_sec_per_step",
+           "fused_speedup"});
+  a.set_title("F6a: barrier between steps vs block count (96^2, 2 workers; "
+              "bursts = kSteps x 1-step graph, fused = one kSteps graph)");
+  bool all_match = true;
   for (const int nb : {1, 2, 4, 6}) {
     const mesh::Grid grid = mesh::Grid::make_2d(kN, kN, -0.5, 0.5, -0.5, 0.5);
     solver::SrhdSolver::Options opt;
@@ -39,21 +45,25 @@ int main() {
     const double dt = 0.1 / static_cast<double>(kN);
     parallel::ThreadPool pool(2);
 
-    auto run = [&](bool dataflow) {
-      solver::SrhdSolver s(grid, opt);
+    // kSteps untimed warm-up steps (building the graph), then kSteps timed.
+    auto run = [&](int burst, solver::SrhdSolver& s) {
       s.initialize(problems::kelvin_helmholtz_ic({}));
-      s.step_parallel(dt, pool, dataflow);  // warm-up
+      for (int i = 0; i < kSteps; i += burst) {
+        s.run_steps_dataflow(burst, dt, pool);
+      }
       WallTimer t;
-      if (dataflow) {
-        s.run_steps_dataflow(kSteps, dt, pool);
-      } else {
-        s.run_steps_bulksync(kSteps, dt, pool);
+      for (int i = 0; i < kSteps; i += burst) {
+        s.run_steps_dataflow(burst, dt, pool);
       }
       return t.seconds() / kSteps;
     };
-    const double bulk = run(false);
-    const double flow = run(true);
-    a.add_row({static_cast<long long>(nb * nb), bulk, flow, bulk / flow});
+    solver::SrhdSolver bursts(grid, opt);
+    solver::SrhdSolver fused(grid, opt);
+    const double bursts_step = run(1, bursts);
+    const double fused_step = run(kSteps, fused);
+    all_match = all_match && bench::same_state(bursts, fused);
+    a.add_row({static_cast<long long>(nb * nb), bursts_step, fused_step,
+               bursts_step / fused_step});
   }
   bench::emit(a, "f6a_overlap_blocks");
 
@@ -98,5 +108,9 @@ int main() {
                msgs_per_step});
   }
   bench::emit(b, "f6b_overlap_latency");
+  if (!all_match) {
+    std::cerr << "F6a: fused and one-step-burst end states differ\n";
+    return 1;
+  }
   return 0;
 }

@@ -2,10 +2,11 @@
 // Dependency-driven task graph — the "futurized dataflow" execution model
 // (DESIGN.md substitution for the HPX runtime). Solvers build one node per
 // (block, stage) with edges from the neighbour blocks' previous stage, then
-// run() executes the whole step with no intra-step global barrier: a block
-// advances as soon as its own halo dependencies are met.
+// run(pool) executes the whole step with no intra-step global barrier: a
+// block advances as soon as its own halo dependencies are met. run() with
+// no pool executes the same nodes on the calling thread in creation order.
 //
-// A graph is built once and can be run() repeatedly (structure is immutable
+// A graph is built once and can be run repeatedly (structure is immutable
 // after the first run; per-run scheduling state is reset internally).
 
 #include <atomic>
@@ -48,6 +49,11 @@ class TaskGraph {
   /// status fields, not exceptions, so this only matters for test hooks).
   void run(ThreadPool& pool) RSHC_EXCLUDES(error_mutex_);
 
+  /// Execute all nodes on the calling thread in creation order, which is a
+  /// topological order because add() rejects forward dependencies. Same
+  /// per-node bookkeeping and failure policy as run(pool).
+  void run() RSHC_EXCLUDES(error_mutex_);
+
  private:
   struct Node {
     std::function<void()> fn;
@@ -64,13 +70,20 @@ class TaskGraph {
 #endif
   };
 
+  // Shared by both runners: reset the per-run bookkeeping; fire one node
+  // (fired-once check, span, counters, exception capture); after the
+  // drain, check every node fired once and rethrow the first exception.
+  void begin_run() RSHC_EXCLUDES(error_mutex_);
+  void fire(NodeId id) RSHC_EXCLUDES(error_mutex_);
+  void end_run() RSHC_EXCLUDES(error_mutex_);
+
   void finish_node(ThreadPool& pool, NodeId id) RSHC_EXCLUDES(error_mutex_);
   void release_dependents(ThreadPool& pool, NodeId id);
 
   // deque: stable addresses, no relocation (Node holds an atomic).
   std::deque<Node> nodes_;
 
-  // Per-run state.
+  // Per-run state of run(pool).
   // acq_rel on the final decrement: the thread observing 0 fulfils the
   // done_ promise and must see every node's side effects. The per-run
   // reset in run() is relaxed (no worker is live yet).
@@ -98,7 +111,7 @@ inline std::atomic<long long>& graph_finished_counter() noexcept {
   return finished;
 }
 
-/// Nodes scheduled by a run() that has not observed their completion yet.
+/// Nodes scheduled by a run that has not observed their completion yet.
 [[nodiscard]] inline long long pending_graph_nodes() noexcept {
   return graph_pending_counter().load(std::memory_order_relaxed);
 }

@@ -1,17 +1,15 @@
 #pragma once
 // Fixed-size worker pool with a central task queue. This is the
-// shared-memory substrate for block-parallel stepping and the futurized
-// dataflow scheduler (DESIGN.md system #2). Follows CP.24/CP.25: tasks and
-// futures rather than raw detached threads; workers are std::jthread and
-// join on destruction.
+// shared-memory substrate for the futurized dataflow scheduler
+// (TaskGraph::run(pool), DESIGN.md system #2) and the simulation
+// service's job workers. Follows CP.24/CP.25: tasks rather than raw
+// detached threads; workers are std::jthread and join on destruction.
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "rshc/common/mutex.hpp"
@@ -21,6 +19,9 @@ namespace rshc::parallel {
 class ThreadPool {
  public:
   /// Spawn `num_threads` workers (>=1). Workers sleep when idle.
+  /// ThreadPool(w) means exactly w threads run work, in the task graph
+  /// and in the service alike: the caller of TaskGraph::run(pool) waits
+  /// for the drain and runs no node itself.
   explicit ThreadPool(unsigned num_threads);
   ~ThreadPool();
 
@@ -29,26 +30,10 @@ class ThreadPool {
 
   [[nodiscard]] unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Enqueue a callable; returns a future for its result.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
-    enqueue([task] { (*task)(); });
-    return fut;
-  }
-
-  /// Fire-and-forget variant used by the dataflow engine (result delivery is
-  /// handled by the caller's promise).
+  /// Fire-and-forget: run `fn` on some worker. `fn` must not throw (an
+  /// escaping exception terminates the worker thread, and the process):
+  /// the task graph catches per node, the service's job loop per job.
   void enqueue(std::function<void()> fn) RSHC_EXCLUDES(mutex_);
-
-  /// Run `fn(i)` for i in [begin, end) across the pool, blocking until done.
-  /// `grain` is the minimum chunk size per task. Safe to call from a worker
-  /// thread: the caller participates by draining its own chunk inline.
-  void parallel_for(long long begin, long long end,
-                    const std::function<void(long long)>& fn,
-                    long long grain = 1);
 
   /// Number of tasks currently queued (diagnostic).
   [[nodiscard]] std::size_t queued() const RSHC_EXCLUDES(mutex_);
@@ -64,10 +49,6 @@ class ThreadPool {
   std::vector<std::jthread> workers_;
   bool stopping_ RSHC_GUARDED_BY(mutex_) = false;
 };
-
-/// Process-wide default pool sized from hardware_concurrency(); created on
-/// first use. Harnesses that sweep worker counts construct their own pools.
-ThreadPool& default_pool();
 
 /// Worker-state introspection for the stall watchdog's per-thread dump
 /// (obs::telemetry), summed over every pool in the process. Deliberately

@@ -5,15 +5,16 @@
 // Runge-Kutta integrator, and recover primitives. Parametrized over a
 // Physics trait (SrhdPhysics / SrmhdPhysics).
 //
-// Execution modes:
-//  - step(dt)                     serial reference path
-//  - step_parallel(..., bulk)     block-parallel with a barrier per phase
-//  - step_parallel(..., dataflow) futurized dataflow: per-(block,stage)
-//    exchange and compute tasks linked only by true data dependencies, no
-//    global barrier inside a step
-//  - run_steps_dataflow(n, dt)    one task graph spanning n whole steps —
-//    no barrier *between* steps either (the heterogeneous-runtime payoff
-//    measured in F3/F6)
+// One host step schedule, the futurized dataflow graph: per-(block, stage)
+// exchange and compute tasks linked only by true data dependencies.
+//  - step(dt)                      runs the one-step graph inline on the
+//    calling thread, in creation order
+//  - run_steps_dataflow(n, dt, p)  runs one graph spanning n whole steps on
+//    pool p: no barrier inside a step or between its steps; the call's
+//    return is the only barrier (F3/F4/F6a sweep its worker count)
+// Both execute the same node bodies on the same data, so they agree bit
+// for bit with each other and with the per-pencil test oracle.
+// HostPipeline::kDevice steps go to the simulated accelerator instead.
 //
 // Per-step dependency structure (E = exchange+BC, K = rhs+update+c2p):
 //   E(b,s) <- K(b,s-1), K(nbr,s-1)   (needs stage s-1 prims of b and nbrs)
@@ -99,16 +100,13 @@ class FvSolver {
   /// CFL-limited time step from the current state.
   [[nodiscard]] double compute_dt() const;
 
-  /// One time step (serial reference path).
+  /// One time step: the one-step graph run inline on the calling thread
+  /// (HostPipeline::kDevice: the device pipeline).
   void step(double dt);
 
-  /// One time step on `pool`; dataflow=false uses bulk-synchronous phases.
-  void step_parallel(double dt, parallel::ThreadPool& pool, bool dataflow);
-
-  /// `nsteps` fixed-dt steps as one dependency graph (no barriers at all).
+  /// `nsteps` fixed-dt steps as one dependency graph run on `pool` (no
+  /// barriers at all); one heartbeat for the burst. Host pipeline only.
   void run_steps_dataflow(int nsteps, double dt, parallel::ThreadPool& pool);
-  /// Baseline for the same workload: barrier per phase, per stage, per step.
-  void run_steps_bulksync(int nsteps, double dt, parallel::ThreadPool& pool);
 
   /// Advance to t_end with adaptive dt (serial); returns steps taken.
   int advance_to(double t_end, int max_steps = 1000000);
@@ -215,10 +213,7 @@ class FvSolver {
   void compute_rhs_overlapped(int b);
   /// RK stage combination + con2prim over the block interior.
   void update_block(int b, time::StageCoeffs coeffs, double dt);
-  void save_state();
-  void post_step_all();
   void merge_block_stats();
-  void stage_serial(int stage, double dt);
   void step_device(double dt);
   parallel::TaskGraph& step_graph(int nsteps);
 
@@ -227,8 +222,8 @@ class FvSolver {
   int ng_;
   mesh::Decomposition decomp_;
   std::vector<mesh::Block> blocks_;
-  // Both are written before they are read (save_state, the rhs's zero_du
-  // box), so they are allocated FieldArray::NoFill.
+  // Both are written before they are read (the first-stage exchange node's
+  // copy, the rhs's zero_du box), so they are allocated FieldArray::NoFill.
   std::vector<mesh::FieldArray> u0_;  // RK reference state
   std::vector<mesh::FieldArray> du_;  // flux-difference accumulator
   std::vector<std::unique_ptr<Scratch>> scratch_;
@@ -246,7 +241,7 @@ class FvSolver {
   // device arenas (see device_exec.hpp).
   std::unique_ptr<DeviceExec<Physics>> device_;
 
-  // Cached dataflow graphs keyed by step count (and overlap mode — the
+  // The cached step graph, keyed by step count (and overlap mode — the
   // node bodies differ when the exchange is futurized).
   std::unique_ptr<parallel::TaskGraph> graph_;
   int graph_steps_ = 0;

@@ -19,7 +19,17 @@ TaskGraph::NodeId TaskGraph::add(std::function<void()> fn,
   return id;
 }
 
-void TaskGraph::finish_node(ThreadPool& pool, NodeId id) {
+void TaskGraph::begin_run() {
+#if RSHC_CHECKS_ENABLED
+  for (auto& n : nodes_) n.fired.store(0, std::memory_order_relaxed);
+#endif
+  introspect::graph_pending_counter().fetch_add(
+      static_cast<long long>(nodes_.size()), std::memory_order_relaxed);
+  LockGuard lock(error_mutex_);
+  error_ = nullptr;
+}
+
+void TaskGraph::fire(NodeId id) {
 #if RSHC_CHECKS_ENABLED
   RSHC_CHECK("graph",
              nodes_[id].fired.fetch_add(1, std::memory_order_relaxed) == 0,
@@ -35,6 +45,27 @@ void TaskGraph::finish_node(ThreadPool& pool, NodeId id) {
   RSHC_OBS_COUNT("graph.nodes_run", 1);
   introspect::graph_finished_counter().fetch_add(1, std::memory_order_relaxed);
   introspect::graph_pending_counter().fetch_sub(1, std::memory_order_relaxed);
+}
+
+void TaskGraph::end_run() {
+#if RSHC_CHECKS_ENABLED
+  // The graph drained: every node must have fired exactly once (a node
+  // that never fired would mean an unsatisfiable dependency — a cycle or
+  // a lost release — and would have hung run(pool) instead, but a
+  // duplicate fire can slip through scheduling races; assert both edges).
+  for (const auto& n : nodes_) {
+    RSHC_CHECK("graph", n.fired.load(std::memory_order_relaxed) == 1,
+               "task graph drained with a node not fired exactly once");
+  }
+#endif
+  // The graph drained, so no writer remains; lock anyway to satisfy the
+  // guarded-by contract (one uncontended lock per run).
+  LockGuard lock(error_mutex_);
+  if (error_) std::rethrow_exception(error_);
+}
+
+void TaskGraph::finish_node(ThreadPool& pool, NodeId id) {
+  fire(id);
   release_dependents(pool, id);
   if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     done_.set_value();
@@ -57,17 +88,9 @@ void TaskGraph::run(ThreadPool& pool) {
   if (nodes_.empty()) return;
   // Reset per-run scheduling state.
   for (auto& n : nodes_) n.pending.store(n.num_deps, std::memory_order_relaxed);
-#if RSHC_CHECKS_ENABLED
-  for (auto& n : nodes_) n.fired.store(0, std::memory_order_relaxed);
-#endif
   remaining_.store(nodes_.size(), std::memory_order_relaxed);
-  introspect::graph_pending_counter().fetch_add(
-      static_cast<long long>(nodes_.size()), std::memory_order_relaxed);
   done_ = std::promise<void>();
-  {
-    LockGuard lock(error_mutex_);
-    error_ = nullptr;
-  }
+  begin_run();
 
   auto done = done_.get_future();
   for (NodeId id = 0; id < nodes_.size(); ++id) {
@@ -76,20 +99,14 @@ void TaskGraph::run(ThreadPool& pool) {
     }
   }
   done.wait();
-#if RSHC_CHECKS_ENABLED
-  // The graph drained: every node must have fired exactly once (a node
-  // that never fired would mean an unsatisfiable dependency — a cycle or
-  // a lost release — and would have hung `done` instead, but a duplicate
-  // fire can slip through scheduling races; assert both edges here).
-  for (const auto& n : nodes_) {
-    RSHC_CHECK("graph", n.fired.load(std::memory_order_relaxed) == 1,
-               "task graph drained with a node not fired exactly once");
-  }
-#endif
-  // The graph drained, so no writer remains; lock anyway to satisfy the
-  // guarded-by contract (one uncontended lock per run).
-  LockGuard lock(error_mutex_);
-  if (error_) std::rethrow_exception(error_);
+  end_run();
+}
+
+void TaskGraph::run() {
+  if (nodes_.empty()) return;
+  begin_run();
+  for (NodeId id = 0; id < nodes_.size(); ++id) fire(id);
+  end_run();
 }
 
 }  // namespace rshc::parallel

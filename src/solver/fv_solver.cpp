@@ -325,27 +325,6 @@ void FvSolver<Physics>::update_block(int b, time::StageCoeffs coeffs,
   block_stats_[static_cast<std::size_t>(b)] += stats;
 }
 
-template <typename Physics>
-void FvSolver<Physics>::save_state() {
-  RSHC_OBS_PHASE("solver.phase.other", "solver", -1);
-  for (int b = 0; b < num_blocks(); ++b) {
-    const auto src = blocks_[static_cast<std::size_t>(b)].cons().flat();
-    auto dst = u0_[static_cast<std::size_t>(b)].flat();
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-}
-
-template <typename Physics>
-void FvSolver<Physics>::post_step_all() {
-  RSHC_OBS_PHASE("solver.phase.other", "solver", -1);
-  for (int b = 0; b < num_blocks(); ++b) {
-    auto& blk = blocks_[static_cast<std::size_t>(b)];
-    Physics::post_step(blk.cons(), blk.prim(), opt_.physics, current_dt_,
-                       grid_.min_dx());
-  }
-  merge_block_stats();
-}
-
 // Folds the per-block c2p counters into the solver total and publishes the
 // step's share as the solver.c2p.iterations / solver.c2p.floored_zones
 // registry counters, so a run report shows the Newton work and the floor
@@ -386,23 +365,6 @@ double FvSolver<Physics>::compute_dt() const {
                               blk.prim().flat().data(), speed));
   }
   return opt_.cfl * grid_.min_dx() / vmax;
-}
-
-template <typename Physics>
-void FvSolver<Physics>::stage_serial(int stage, double dt) {
-  const auto coeffs = time::stage_coeffs(opt_.integrator, stage);
-  if (overlap_active()) {
-    // Latency-hiding schedule: post every face exchange up front, compute
-    // the ghost-free interior while messages fly, and finish boundary
-    // boxes as their faces land. The exchange phase is the pack+post cost
-    // only; the waits hide inside the rhs phase (that is the point).
-    for (int b = 0; b < num_blocks(); ++b) overlap_begin_(b);
-    for (int b = 0; b < num_blocks(); ++b) compute_rhs_overlapped(b);
-  } else {
-    for (int b = 0; b < num_blocks(); ++b) exchange_block(b);
-    for (int b = 0; b < num_blocks(); ++b) compute_rhs(b);
-  }
-  for (int b = 0; b < num_blocks(); ++b) update_block(b, coeffs, dt);
 }
 
 // Device-offload step: establish residency (full upload, first step only),
@@ -465,11 +427,8 @@ void FvSolver<Physics>::step(double dt) {
     step_device(dt);
   } else {
     current_dt_ = dt;
-    save_state();
-    for (int s = 0; s < time::num_stages(opt_.integrator); ++s) {
-      stage_serial(s, dt);
-    }
-    post_step_all();
+    step_graph(1).run();
+    merge_block_stats();
     time_ += dt;
   }
   ++steps_taken_;
@@ -481,48 +440,13 @@ void FvSolver<Physics>::step(double dt) {
 #endif
 }
 
-template <typename Physics>
-void FvSolver<Physics>::step_parallel(double dt, parallel::ThreadPool& pool,
-                                      bool dataflow) {
-  RSHC_REQUIRE(opt_.pipeline != HostPipeline::kDevice,
-               "host-parallel stepping does not drive the device pipeline; "
-               "use step() or set_pipeline() first");
-  RSHC_OBS_PHASE("solver.step", "solver", -1);
-  if (dataflow) {
-    // The one-step graph saves u0 in its first-stage nodes and applies
-    // post_step in its last-stage nodes, so nothing may wrap it.
-    run_steps_dataflow(1, dt, pool);
-    return;
-  }
-  RSHC_OBS_COUNT("solver.steps", 1);
-#if RSHC_OBS_ENABLED
-  const WallTimer hb_timer;
-#endif
-  // Bulk-synchronous: a barrier after every phase of every stage.
-  current_dt_ = dt;
-  save_state();
-  const int nb = num_blocks();
-  for (int s = 0; s < time::num_stages(opt_.integrator); ++s) {
-    const auto coeffs = time::stage_coeffs(opt_.integrator, s);
-    pool.parallel_for(0, nb, [&](long long b) {
-      exchange_block(static_cast<int>(b));
-    });
-    pool.parallel_for(0, nb, [&](long long b) {
-      compute_rhs(static_cast<int>(b));
-      update_block(static_cast<int>(b), coeffs, dt);
-    });
-  }
-  post_step_all();
-  time_ += dt;
-  ++steps_taken_;
-#if RSHC_OBS_ENABLED
-  RSHC_OBS_HEARTBEAT(steps_taken_, time_, dt,
-                     heartbeat_zone_rate(blocks_,
-                                         time::num_stages(opt_.integrator),
-                                         1, hb_timer.seconds()));
-#endif
-}
-
+// The one host step schedule: `nsteps` steps as a graph of per-(block,
+// stage) exchange (E) and compute (K) nodes. The first-stage E nodes save
+// the block's RK reference state and the last-stage K nodes apply
+// Physics::post_step, so nothing wraps the graph. step() runs it inline,
+// where creation order (every E node of a stage, then every K node) is the
+// execution order; run_steps_dataflow runs it on a pool. Built on first
+// use, never in the constructor.
 template <typename Physics>
 parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps) {
   if (graph_ && graph_steps_ == nsteps &&
@@ -573,8 +497,9 @@ parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps) {
         cur_e[static_cast<std::size_t>(b)] = graph_->add(
             [this, b, step_start, overlap] {
               if (step_start) {
-                // Per-block save of the RK reference state (dataflow keeps
-                // even this barrier-free).
+                // Per-block save of the RK reference state (no barrier
+                // before the step either).
+                RSHC_OBS_PHASE("solver.phase.other", "solver", b);
                 const auto src =
                     blocks_[static_cast<std::size_t>(b)].cons().flat();
                 auto dst = u0_[static_cast<std::size_t>(b)].flat();
@@ -608,6 +533,7 @@ parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps) {
               }
               update_block(b, coeffs, current_dt_);
               if (step_end) {
+                RSHC_OBS_PHASE("solver.phase.other", "solver", b);
                 auto& blk = blocks_[static_cast<std::size_t>(b)];
                 Physics::post_step(blk.cons(), blk.prim(), opt_.physics,
                                    current_dt_, grid_.min_dx());
@@ -633,11 +559,11 @@ void FvSolver<Physics>::run_steps_dataflow(int nsteps, double dt,
   const WallTimer hb_timer;
 #endif
   current_dt_ = dt;
-  // save_state happens inside the first-stage E nodes (per block).
   step_graph(nsteps).run(pool);
-  // post_step is folded into the last-stage K nodes.
   merge_block_stats();
-  time_ += dt * nsteps;
+  // The clock advances as nsteps step() calls would (nsteps additions, not
+  // dt * nsteps), so a fused burst ends on the same time bits.
+  for (int i = 0; i < nsteps; ++i) time_ += dt;
   steps_taken_ += nsteps;
 #if RSHC_OBS_ENABLED
   // One heartbeat for the whole burst (there is no per-step boundary in
@@ -647,12 +573,6 @@ void FvSolver<Physics>::run_steps_dataflow(int nsteps, double dt,
                                          time::num_stages(opt_.integrator),
                                          nsteps, hb_timer.seconds()));
 #endif
-}
-
-template <typename Physics>
-void FvSolver<Physics>::run_steps_bulksync(int nsteps, double dt,
-                                           parallel::ThreadPool& pool) {
-  for (int i = 0; i < nsteps; ++i) step_parallel(dt, pool, /*dataflow=*/false);
 }
 
 template <typename Physics>

@@ -140,6 +140,27 @@ TEST_F(ObsIntegration, PhaseTimesNestInsideStepTotal) {
   EXPECT_EQ(step->kind, "timer");
   EXPECT_EQ(step->count, kSteps);
   EXPECT_LE(step->min, step->max);
+
+  // Multi-block SRMHD (a post_step that damps psi): the graph's u0 save and
+  // post_step are timed per block as "other", still inside solver.step.
+  obs::Registry::global().reset();
+  solver::SrmhdSolver::Options mopt;
+  mopt.bc = mesh::BoundarySpec::all(mesh::BcType::kOutflow);
+  mopt.blocks = {2, 2, 1};
+  solver::SrmhdSolver m(mesh::Grid::make_2d(16, 16, -1.0, 1.0, -1.0, 1.0),
+                        mopt);
+  m.initialize(problems::mhd_blast2d_ic({}));
+  m.step(0.5 * m.compute_dt());
+  const obs::Snapshot msnap = obs::Registry::global().snapshot();
+  const auto* other = msnap.find("solver.phase.other");
+  ASSERT_NE(other, nullptr);
+  EXPECT_EQ(other->count, 2 * m.num_blocks());  // u0 save + post_step
+  EXPECT_LE(msnap.value_or("solver.phase.exchange") +
+                msnap.value_or("solver.phase.rhs") +
+                msnap.value_or("solver.phase.update") +
+                msnap.value_or("solver.phase.c2p") +
+                msnap.value_or("solver.phase.other"),
+            msnap.value_or("solver.step"));
 }
 
 TEST_F(ObsIntegration, RuntimeDisabledSolverRecordsNothing) {
@@ -446,13 +467,12 @@ TEST_F(ObsIntegration, MaybeDumpCreatesMissingOutputDirectory) {
 
 // --- c2p work counters -----------------------------------------------------
 
-enum class StepPath { kSerial, kBulkParallel, kDataflowParallel, kDevice };
+enum class StepPath { kSerial, kDataflowParallel, kDevice };
 
 std::string step_path_name(const ::testing::TestParamInfo<StepPath>& info) {
   switch (info.param) {
     case StepPath::kSerial: return "Serial";
-    case StepPath::kBulkParallel: return "BulkStepParallel";
-    case StepPath::kDataflowParallel: return "DataflowStepParallel";
+    case StepPath::kDataflowParallel: return "DataflowParallel";
     case StepPath::kDevice: return "Device";
   }
   return "Unknown";
@@ -487,11 +507,8 @@ TEST_P(C2PCounters, MatchSolverStatsAfterSteps) {
       case StepPath::kDevice:
         s.step(dt);
         break;
-      case StepPath::kBulkParallel:
-        s.step_parallel(dt, pool, /*dataflow=*/false);
-        break;
       case StepPath::kDataflowParallel:
-        s.step_parallel(dt, pool, /*dataflow=*/true);
+        s.run_steps_dataflow(1, dt, pool);
         break;
     }
   }
@@ -508,7 +525,6 @@ TEST_P(C2PCounters, MatchSolverStatsAfterSteps) {
 
 INSTANTIATE_TEST_SUITE_P(Paths, C2PCounters,
                          ::testing::Values(StepPath::kSerial,
-                                           StepPath::kBulkParallel,
                                            StepPath::kDataflowParallel,
                                            StepPath::kDevice),
                          step_path_name);

@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <latch>
+#include <memory>
+#include <mutex>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "rshc/common/error.hpp"
@@ -14,104 +20,84 @@ namespace {
 
 using namespace rshc::parallel;
 
-TEST(ThreadPool, SubmitReturnsResult) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("bang"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, ManyTasksAllRun) {
   ThreadPool pool(4);
+  constexpr int kTasks = 200;
   std::atomic<int> count{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 200; ++i) {
-    futs.push_back(pool.submit([&count] { count.fetch_add(1); }));
+  std::latch done(kTasks);
+  for (int i = 0; i < kTasks; ++i) {
+    pool.enqueue([&count, &done] {
+      count.fetch_add(1);
+      done.count_down();
+    });
   }
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(count.load(), 200);
+  done.wait();
+  EXPECT_EQ(count.load(), kTasks);
 }
 
-class ParallelForSweep
-    : public ::testing::TestWithParam<std::tuple<unsigned, long long>> {};
-
-TEST_P(ParallelForSweep, CoversEveryIndexExactlyOnce) {
-  const auto [threads, n] = GetParam();
-  ThreadPool pool(threads);
-  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
-  pool.parallel_for(0, n, [&](long long i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  for (long long i = 0; i < n; ++i) {
-    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, ParallelForSweep,
-    ::testing::Combine(::testing::Values(1u, 2u, 4u),
-                       ::testing::Values(1LL, 7LL, 64LL, 1000LL)));
-
-TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.parallel_for(5, 5, [&](long long) { ++calls; });
-  pool.parallel_for(5, 3, [&](long long) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(ThreadPool, ParallelForRespectsGrain) {
-  ThreadPool pool(2);
-  std::atomic<long long> sum{0};
-  pool.parallel_for(0, 100, [&](long long i) { sum.fetch_add(i); }, 16);
-  EXPECT_EQ(sum.load(), 4950);
-}
-
-TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
-  // A 1-thread pool is the worst case: the outer loop body itself calls
-  // parallel_for from the only worker thread.
+TEST(ThreadPool, EnqueueFromWorkerRuns) {
+  // run(pool) releases dependents by enqueueing from inside a worker. A
+  // 1-worker pool is the worst case: the follow-ups can only run after the
+  // task that enqueued them returns.
   ThreadPool pool(1);
+  constexpr int kFollowUps = 8;
   std::atomic<int> count{0};
-  pool.parallel_for(0, 4, [&](long long) {
-    pool.parallel_for(0, 8, [&](long long) { count.fetch_add(1); });
+  std::latch done(kFollowUps + 1);
+  pool.enqueue([&] {
+    for (int i = 0; i < kFollowUps; ++i) {
+      pool.enqueue([&count, &done] {
+        count.fetch_add(1);
+        done.count_down();
+      });
+    }
+    done.count_down();
   });
-  EXPECT_EQ(count.load(), 32);
-}
-
-TEST(ThreadPool, ParallelForPropagatesFirstException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(0, 100,
-                                 [&](long long i) {
-                                   if (i == 37) {
-                                     throw std::runtime_error("at 37");
-                                   }
-                                 }),
-               std::runtime_error);
+  done.wait();
+  EXPECT_EQ(count.load(), kFollowUps);
 }
 
 TEST(ThreadPool, RequiresAtLeastOneWorker) {
   EXPECT_THROW(ThreadPool(0), rshc::Error);
 }
 
-TEST(TaskGraph, RunsAllNodes) {
-  ThreadPool pool(2);
+// The graph's two runners: run() on the calling thread in creation order,
+// run(pool) on the pool's workers. Every behavioural test holds for both.
+enum class Runner { kInline, kPool };
+
+std::string runner_name(const ::testing::TestParamInfo<Runner>& info) {
+  return info.param == Runner::kInline ? "Inline" : "Pool";
+}
+
+class TaskGraphRunners : public ::testing::TestWithParam<Runner> {
+ protected:
+  /// Run `g` with the parameter's runner; `workers` sizes the pool.
+  void run(TaskGraph& g, unsigned workers) {
+    if (GetParam() == Runner::kInline) {
+      g.run();
+      return;
+    }
+    if (!pool_ || pool_->size() != workers) {
+      pool_ = std::make_unique<ThreadPool>(workers);
+    }
+    g.run(*pool_);
+  }
+
+ private:
+  std::unique_ptr<ThreadPool> pool_;
+};
+
+TEST_P(TaskGraphRunners, RunsAllNodes) {
   TaskGraph g;
   std::atomic<int> count{0};
   for (int i = 0; i < 10; ++i) {
     g.add([&count] { count.fetch_add(1); });
   }
-  g.run(pool);
+  run(g, 2);
   EXPECT_EQ(count.load(), 10);
   EXPECT_EQ(g.size(), 10u);
 }
 
-TEST(TaskGraph, RespectsChainOrder) {
-  ThreadPool pool(4);
+TEST_P(TaskGraphRunners, RespectsChainOrder) {
   TaskGraph g;
   std::vector<int> order;
   std::mutex m;
@@ -122,12 +108,11 @@ TEST(TaskGraph, RespectsChainOrder) {
   const auto a = g.add([&] { note(0); });
   const auto b = g.add([&] { note(1); }, {a});
   g.add([&] { note(2); }, {b});
-  g.run(pool);
+  run(g, 4);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(TaskGraph, DiamondDependency) {
-  ThreadPool pool(4);
+TEST_P(TaskGraphRunners, DiamondDependency) {
   TaskGraph g;
   std::atomic<int> top_done{0};
   std::atomic<int> mids_done{0};
@@ -146,49 +131,37 @@ TEST(TaskGraph, DiamondDependency) {
       },
       {top});
   g.add([&] { bottom_saw_both.store(mids_done.load() == 2); }, {l, r});
-  g.run(pool);
+  run(g, 4);
   EXPECT_TRUE(bottom_saw_both.load());
 }
 
-TEST(TaskGraph, ReRunnable) {
-  ThreadPool pool(2);
+TEST_P(TaskGraphRunners, ReRunnable) {
   TaskGraph g;
   std::atomic<int> count{0};
   const auto a = g.add([&] { count.fetch_add(1); });
   g.add([&] { count.fetch_add(10); }, {a});
-  g.run(pool);
-  g.run(pool);
-  g.run(pool);
+  run(g, 2);
+  run(g, 2);
+  run(g, 2);
   EXPECT_EQ(count.load(), 33);
 }
 
-TEST(TaskGraph, ForwardDependenciesRejected) {
-  TaskGraph g;
-  const auto a = g.add([] {});
-  (void)a;
-  // Depending on a node that does not exist yet (id >= current) must throw.
-  EXPECT_THROW(g.add([] {}, {TaskGraph::NodeId{5}}), rshc::Error);
-}
-
-TEST(TaskGraph, ExceptionIsRethrownAfterDrain) {
-  ThreadPool pool(2);
+TEST_P(TaskGraphRunners, ExceptionIsRethrownAfterDrain) {
   TaskGraph g;
   std::atomic<int> ran{0};
   const auto a = g.add([] { throw std::runtime_error("node failed"); });
   g.add([&] { ran.fetch_add(1); }, {a});
-  EXPECT_THROW(g.run(pool), std::runtime_error);
+  EXPECT_THROW(run(g, 2), std::runtime_error);
   // Downstream node still ran (failure policy documented in the header).
   EXPECT_EQ(ran.load(), 1);
 }
 
-TEST(TaskGraph, EmptyGraphRuns) {
-  ThreadPool pool(1);
+TEST_P(TaskGraphRunners, EmptyGraphRuns) {
   TaskGraph g;
-  EXPECT_NO_THROW(g.run(pool));
+  EXPECT_NO_THROW(run(g, 1));
 }
 
-TEST(TaskGraph, WideFanOutAndIn) {
-  ThreadPool pool(4);
+TEST_P(TaskGraphRunners, WideFanOutAndIn) {
   TaskGraph g;
   std::atomic<long long> sum{0};
   const auto root = g.add([] {});
@@ -199,8 +172,86 @@ TEST(TaskGraph, WideFanOutAndIn) {
   std::atomic<long long> total{-1};
   g.add([&] { total.store(sum.load()); },
         std::span<const TaskGraph::NodeId>(mids));
-  g.run(pool);
+  run(g, 4);
   EXPECT_EQ(total.load(), 64 * 65 / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Runners, TaskGraphRunners,
+                         ::testing::Values(Runner::kInline, Runner::kPool),
+                         runner_name);
+
+// Graph shapes against runners: workers == 0 runs inline, otherwise on a
+// pool of that many workers. Node i depends on its binary-tree parent
+// (i-1)/2 and, from i >= 8, on node i-8: fan-out plus cross edges, so a
+// pool has independent nodes to run at once.
+class TaskGraphSweep
+    : public ::testing::TestWithParam<std::tuple<unsigned, int>> {};
+
+TEST_P(TaskGraphSweep, FiresEveryNodeOnceAfterItsDeps) {
+  const auto [workers, n] = GetParam();
+  TaskGraph g;
+  std::vector<std::atomic<int>> fired(static_cast<std::size_t>(n));
+  std::atomic<int> early{0};  // nodes that fired before a dependency
+  for (int i = 0; i < n; ++i) {
+    std::vector<TaskGraph::NodeId> deps;
+    if (i >= 1) deps.push_back(static_cast<TaskGraph::NodeId>((i - 1) / 2));
+    if (i >= 8 && i - 8 != (i - 1) / 2) {
+      deps.push_back(static_cast<TaskGraph::NodeId>(i - 8));
+    }
+    g.add(
+        [&fired, &early, deps, i] {
+          for (const auto d : deps) {
+            if (fired[d].load() != 1) early.fetch_add(1);
+          }
+          fired[static_cast<std::size_t>(i)].fetch_add(1);
+        },
+        std::span<const TaskGraph::NodeId>(deps));
+  }
+  if (workers == 0) {
+    g.run();
+  } else {
+    ThreadPool pool(workers);
+    g.run(pool);
+  }
+  EXPECT_EQ(early.load(), 0);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(fired[static_cast<std::size_t>(i)].load(), 1) << "node " << i;
+  }
+}
+
+std::string sweep_name(
+    const ::testing::TestParamInfo<std::tuple<unsigned, int>>& info) {
+  const auto [workers, n] = info.param;
+  const std::string runner =
+      workers == 0 ? std::string("Inline") : "Pool" + std::to_string(workers);
+  return runner + "_Nodes" + std::to_string(n);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TaskGraphSweep,
+    ::testing::Combine(::testing::Values(0u, 1u, 2u, 4u),
+                       ::testing::Values(1, 7, 64, 1000)),
+    sweep_name);
+
+TEST(TaskGraph, ForwardDependenciesRejected) {
+  TaskGraph g;
+  const auto a = g.add([] {});
+  (void)a;
+  // Depending on a node that does not exist yet (id >= current) must throw.
+  EXPECT_THROW(g.add([] {}, {TaskGraph::NodeId{5}}), rshc::Error);
+}
+
+TEST(TaskGraph, InlineRunFiresEveryNodeOnTheCallingThread) {
+  TaskGraph g;
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on;
+  const auto root = g.add([&] { ran_on.push_back(std::this_thread::get_id()); });
+  for (int i = 0; i < 8; ++i) {
+    g.add([&] { ran_on.push_back(std::this_thread::get_id()); }, {root});
+  }
+  g.run();
+  ASSERT_EQ(ran_on.size(), 9u);
+  for (const auto& id : ran_on) EXPECT_EQ(id, caller);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Concurrency stress: drives the thread pool, task graph, dataflow-mode
+// Concurrency stress: drives the task graph on a thread pool, the dataflow
 // solver, and the message-passing halo exchange with thread counts well
 // above the host's core count. The assertions are deliberately simple
 // (correct sums, bitwise equality with the serial path) — the real payload
@@ -10,7 +10,7 @@
 
 #include <atomic>
 #include <cmath>
-#include <numeric>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -25,28 +25,6 @@ namespace {
 using namespace rshc;
 
 constexpr unsigned kThreads = 16;  // deliberately oversubscribed
-
-TEST(ParallelStress, OversubscribedParallelForCoversEveryIndex) {
-  parallel::ThreadPool pool(kThreads);
-  constexpr long long kN = 20000;
-  std::vector<int> hits(kN, 0);
-  for (int rep = 0; rep < 4; ++rep) {
-    std::fill(hits.begin(), hits.end(), 0);
-    pool.parallel_for(0, kN, [&](long long i) { hits[i]++; }, 7);
-    EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0LL), kN);
-  }
-}
-
-TEST(ParallelStress, NestedParallelForFromPoolWorkers) {
-  // parallel_for is documented safe to call from inside a worker (the
-  // caller self-schedules); nest it to stress that path under contention.
-  parallel::ThreadPool pool(kThreads);
-  std::atomic<long long> total{0};  // seq_cst test counter
-  pool.parallel_for(0, 32, [&](long long) {
-    pool.parallel_for(0, 100, [&](long long) { total++; }, 9);
-  });
-  EXPECT_EQ(total.load(), 32 * 100);
-}
 
 TEST(ParallelStress, WideLayeredGraphFiresEveryNodeOncePerRun) {
   parallel::ThreadPool pool(kThreads);
@@ -73,6 +51,30 @@ TEST(ParallelStress, WideLayeredGraphFiresEveryNodeOncePerRun) {
     graph.run(pool);
     for (auto& f : fired) EXPECT_EQ(f.load(), 1);
   }
+}
+
+TEST(ParallelStress, InlineGraphsRunConcurrentlyOnPoolWorkers) {
+  // The service's pattern: every worker runs its own graph inline (a job
+  // calling step()), all at once, sharing the process-wide graph counters.
+  parallel::ThreadPool pool(kThreads);
+  constexpr int kJobs = 2 * static_cast<int>(kThreads);
+  constexpr int kNodes = 64;
+  std::vector<std::atomic<int>> sums(kJobs);
+  std::latch done(kJobs);
+  for (int j = 0; j < kJobs; ++j) {
+    pool.enqueue([&sums, &done, j] {
+      parallel::TaskGraph graph;
+      auto* sum = &sums[static_cast<std::size_t>(j)];
+      parallel::TaskGraph::NodeId prev = graph.add([sum] { sum->fetch_add(1); });
+      for (int i = 1; i < kNodes; ++i) {
+        prev = graph.add([sum] { sum->fetch_add(1); }, {prev});
+      }
+      for (int rep = 0; rep < 5; ++rep) graph.run();
+      done.count_down();
+    });
+  }
+  done.wait();
+  for (auto& s : sums) EXPECT_EQ(s.load(), 5 * kNodes);
 }
 
 TEST(ParallelStress, DataflowSolverMatchesSerialUnderOversubscription) {
@@ -111,6 +113,53 @@ TEST(ParallelStress, DataflowSolverMatchesSerialUnderOversubscription) {
   ASSERT_EQ(rho.size(), rho_ref.size());
   for (std::size_t i = 0; i < rho.size(); ++i) {
     EXPECT_EQ(rho[i], rho_ref[i]) << "cell " << i;
+  }
+}
+
+TEST(ParallelStress, InlineStepsOnPoolWorkersMatchCallerStep) {
+  // Multi-block solvers stepped with step() on oversubscribed pool workers
+  // (as service jobs are) must each match the same step on the caller.
+  const mesh::Grid g = mesh::Grid::make_2d(24, 24, 0.0, 1.0, 0.0, 1.0);
+  solver::SrhdSolver::Options opt;
+  opt.recon = recon::Method::kPLMMC;
+  opt.cfl = 0.4;
+  opt.bc = mesh::BoundarySpec::all(mesh::BcType::kPeriodic);
+  opt.physics.eos = eos::IdealGas(5.0 / 3.0);
+  opt.blocks = {2, 2, 1};
+  const auto ic = [](double x, double y, double) {
+    srhd::Prim w;
+    w.rho = 1.0 + 0.3 * std::cos(2 * M_PI * x) * std::sin(2 * M_PI * y);
+    w.vx = -0.2;
+    w.vy = 0.25;
+    w.p = 1.0;
+    return w;
+  };
+  constexpr double kDt = 0.004;
+  constexpr int kSteps = 3;
+
+  solver::SrhdSolver ref(g, opt);
+  ref.initialize(ic);
+  for (int i = 0; i < kSteps; ++i) ref.step(kDt);
+  const auto rho_ref = ref.gather_prim_var(srhd::kRho);
+
+  parallel::ThreadPool pool(kThreads);
+  std::vector<std::vector<double>> rho(kThreads);
+  std::latch done(kThreads);
+  for (unsigned j = 0; j < kThreads; ++j) {
+    pool.enqueue([&, j] {
+      solver::SrhdSolver s(g, opt);
+      s.initialize(ic);
+      for (int i = 0; i < kSteps; ++i) s.step(kDt);
+      rho[j] = s.gather_prim_var(srhd::kRho);
+      done.count_down();
+    });
+  }
+  done.wait();
+  for (unsigned j = 0; j < kThreads; ++j) {
+    ASSERT_EQ(rho[j].size(), rho_ref.size()) << "job " << j;
+    for (std::size_t i = 0; i < rho_ref.size(); ++i) {
+      EXPECT_EQ(rho[j][i], rho_ref[i]) << "job " << j << " cell " << i;
+    }
   }
 }
 

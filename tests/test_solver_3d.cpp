@@ -11,6 +11,7 @@
 #include "rshc/common/math.hpp"
 #include "rshc/parallel/thread_pool.hpp"
 #include "rshc/solver/fv_solver.hpp"
+#include "support/pencil_reference.hpp"
 
 namespace {
 
@@ -113,29 +114,30 @@ TEST(Solver3d, MultiBlock3dMatchesSingleBlock) {
 }
 
 TEST(Solver3d, DataflowMatchesSerial3d) {
-  auto run = [&](bool dataflow) {
-    auto opt = opts3d();
-    opt.blocks = {2, 2, 2};
-    SrhdSolver s(cube(12), opt);
-    s.initialize([](double x, double y, double z) {
-      srhd::Prim w;
-      w.rho = 1.0 + 0.2 * std::cos(2 * M_PI * (x - y + z));
-      w.vy = 0.25;
-      w.p = 1.0;
-      return w;
-    });
-    parallel::ThreadPool pool(2);
-    for (int i = 0; i < 4; ++i) {
-      if (dataflow) {
-        s.step_parallel(0.008, pool, /*dataflow=*/true);
-      } else {
-        s.step(0.008);
-      }
-    }
-    return s.gather_prim_var(srhd::kRho);
+  // 2x2x2 blocks in 3D: one-step dataflow bursts against the serial
+  // per-pencil oracle (step() runs the same graph inline, so the oracle is
+  // the independent side).
+  auto opt = opts3d();
+  opt.blocks = {2, 2, 2};
+  const auto ic = [](double x, double y, double z) {
+    srhd::Prim w;
+    w.rho = 1.0 + 0.2 * std::cos(2 * M_PI * (x - y + z));
+    w.vy = 0.25;
+    w.p = 1.0;
+    return w;
   };
-  const auto serial = run(false);
-  const auto flow = run(true);
+  SrhdSolver ref(cube(12), opt);
+  ref.initialize(ic);
+  testsupport::PencilReference oracle(ref);
+  SrhdSolver s(cube(12), opt);
+  s.initialize(ic);
+  parallel::ThreadPool pool(2);
+  for (int i = 0; i < 4; ++i) {
+    oracle.reference_step(0.008);
+    s.run_steps_dataflow(1, 0.008, pool);
+  }
+  const auto serial = ref.gather_prim_var(srhd::kRho);
+  const auto flow = s.gather_prim_var(srhd::kRho);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], flow[i]) << "cell " << i;
   }

@@ -1,7 +1,7 @@
 // SRMHD solver integration: stability on standard MHD problems, GLM
 // divergence control, reduction to SRHD at B = 0, failure injection
 // (corrupted zones must be healed, not crash the run), and bitwise parity
-// of every block-parallel stepping mode with serial step().
+// of step() and the pooled dataflow schedule with the per-pencil oracle.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/diagnostics.hpp"
 #include "rshc/solver/fv_solver.hpp"
+#include "support/pencil_reference.hpp"
 
 namespace {
 
@@ -261,15 +262,16 @@ TEST(SrmhdSolver, PsiDampingShrinksPsiNorm) {
 }
 
 // --- execution-mode parity ---------------------------------------------
+// step() and run_steps_dataflow run the same graph, so each mode is held to
+// the per-pencil oracle, which shares no stepping code with the solver.
 
-enum class Mode { kBulkStep, kDataflowStep, kBulkSync, kDataflow };
+enum class Mode { kStep, kDataflowOneStepBursts, kDataflowFused };
 
 std::string mode_name(const testing::TestParamInfo<Mode>& info) {
   switch (info.param) {
-    case Mode::kBulkStep: return "BulkStepParallel";
-    case Mode::kDataflowStep: return "DataflowStepParallel";
-    case Mode::kBulkSync: return "RunStepsBulksync";
-    case Mode::kDataflow: return "RunStepsDataflow";
+    case Mode::kStep: return "Step";
+    case Mode::kDataflowOneStepBursts: return "DataflowOneStepBursts";
+    case Mode::kDataflowFused: return "DataflowFused";
   }
   return "Unknown";
 }
@@ -282,55 +284,51 @@ bool same_bits(const mesh::FieldArray& a, const mesh::FieldArray& b) {
 
 class SrmhdParallelParity : public testing::TestWithParam<Mode> {};
 
-// GLM damping runs once per step in Physics::post_step; a mode that applied
-// it twice (or skipped it) would leave every psi value off from serial.
-TEST_P(SrmhdParallelParity, MatchesSerialStepBitwise) {
+// GLM damping runs once per step in Physics::post_step; a schedule that
+// applied it twice (or skipped it) would leave every psi value off from
+// the oracle's.
+TEST_P(SrmhdParallelParity, MatchesPencilReferenceBitwise) {
   constexpr int kSteps = 4;
   constexpr double kDt = 0.005;
   const mesh::Grid g = mesh::Grid::make_2d(32, 32, -0.5, 0.5, -0.5, 0.5);
   SrmhdSolver::Options opt = mhd_opts();
   opt.blocks = {2, 2, 1};
-  SrmhdSolver serial(g, opt);
+  SrmhdSolver ref(g, opt);
   SrmhdSolver par(g, opt);
-  serial.initialize(problems::field_loop_ic({}));
+  ref.initialize(problems::field_loop_ic({}));
   par.initialize(problems::field_loop_ic({}));
 
-  for (int i = 0; i < kSteps; ++i) serial.step(kDt);
+  testsupport::PencilReference oracle(ref);
+  for (int i = 0; i < kSteps; ++i) oracle.reference_step(kDt);
   parallel::ThreadPool pool(2);
   switch (GetParam()) {
-    case Mode::kBulkStep:
-      for (int i = 0; i < kSteps; ++i) {
-        par.step_parallel(kDt, pool, /*dataflow=*/false);
-      }
+    case Mode::kStep:
+      for (int i = 0; i < kSteps; ++i) par.step(kDt);
       break;
-    case Mode::kDataflowStep:
-      for (int i = 0; i < kSteps; ++i) {
-        par.step_parallel(kDt, pool, /*dataflow=*/true);
-      }
+    case Mode::kDataflowOneStepBursts:
+      for (int i = 0; i < kSteps; ++i) par.run_steps_dataflow(1, kDt, pool);
       break;
-    case Mode::kBulkSync: par.run_steps_bulksync(kSteps, kDt, pool); break;
-    case Mode::kDataflow: par.run_steps_dataflow(kSteps, kDt, pool); break;
+    case Mode::kDataflowFused: par.run_steps_dataflow(kSteps, kDt, pool); break;
   }
 
-  ASSERT_EQ(serial.num_blocks(), par.num_blocks());
-  for (int b = 0; b < serial.num_blocks(); ++b) {
-    EXPECT_TRUE(same_bits(serial.block(b).cons(), par.block(b).cons()))
+  ASSERT_EQ(ref.num_blocks(), par.num_blocks());
+  for (int b = 0; b < ref.num_blocks(); ++b) {
+    EXPECT_TRUE(same_bits(ref.block(b).cons(), par.block(b).cons()))
         << "cons, block " << b;
-    EXPECT_TRUE(same_bits(serial.block(b).prim(), par.block(b).prim()))
+    EXPECT_TRUE(same_bits(ref.block(b).prim(), par.block(b).prim()))
         << "prims (psi included), block " << b;
   }
-  EXPECT_EQ(serial.c2p_stats().total_iterations,
+  EXPECT_EQ(oracle.c2p_stats().total_iterations,
             par.c2p_stats().total_iterations);
-  EXPECT_EQ(serial.c2p_stats().floored_zones,
-            par.c2p_stats().floored_zones);
-  EXPECT_EQ(serial.time(), par.time());
+  EXPECT_EQ(oracle.c2p_stats().floored_zones, par.c2p_stats().floored_zones);
+  EXPECT_EQ(ref.time(), par.time());
   EXPECT_EQ(par.steps_taken(), kSteps);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, SrmhdParallelParity,
-                         testing::Values(Mode::kBulkStep,
-                                         Mode::kDataflowStep,
-                                         Mode::kBulkSync, Mode::kDataflow),
+                         testing::Values(Mode::kStep,
+                                         Mode::kDataflowOneStepBursts,
+                                         Mode::kDataflowFused),
                          mode_name);
 
 }  // namespace

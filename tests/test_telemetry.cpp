@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -207,11 +208,11 @@ TEST_F(Telemetry, ParallelStepsPublishHeartbeatToo) {
   solver::SrhdSolver s(mesh::Grid::make_1d(64, 0.0, 1.0), opt);
   s.initialize(problems::shock_tube_ic(problems::sod()));
   parallel::ThreadPool pool(2);
-  s.step_parallel(0.001, pool, /*dataflow=*/false);
-  s.step_parallel(0.001, pool, /*dataflow=*/true);
+  s.step(0.001);
+  s.run_steps_dataflow(1, 0.001, pool);
   s.run_steps_dataflow(3, 0.001, pool);
   EXPECT_EQ(s.steps_taken(), 5);
-  // One heartbeat per step_parallel call, one per run_steps_dataflow burst.
+  // One heartbeat per step() call, one per run_steps_dataflow burst.
   EXPECT_EQ(obs::telemetry::heartbeat_ticks() - ticks0, 3u);
   EXPECT_EQ(obs::telemetry::last_heartbeat().step, 5);
 }
@@ -323,12 +324,18 @@ TEST_F(Telemetry, WatchdogStaysQuietUnderHeavyLoad) {
   dog.start();
 
   parallel::ThreadPool pool(16);
+  constexpr int kTasks = 256;
   const auto until = std::chrono::steady_clock::now() + 400ms;
   while (std::chrono::steady_clock::now() < until) {
-    pool.parallel_for(0, 256, [](long long i) {
-      volatile double x = static_cast<double>(i);
-      for (int k = 0; k < 100; ++k) x = x * 1.0000001 + 1.0;
-    });
+    std::latch done(kTasks);
+    for (int i = 0; i < kTasks; ++i) {
+      pool.enqueue([i, &done] {
+        volatile double x = static_cast<double>(i);
+        for (int k = 0; k < 100; ++k) x = x * 1.0000001 + 1.0;
+        done.count_down();
+      });
+    }
+    done.wait();
   }
   dog.stop();
   EXPECT_EQ(dog.stalls_detected(), 0);
