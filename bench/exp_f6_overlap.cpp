@@ -13,11 +13,22 @@
 // remainder, so its latency slope is much shallower. Both columns step
 // the same bitwise-identical numerics (tests/test_overlap.cpp).
 //
+// Each Part B row also records the fabric's punctuality (recv_late_us):
+// the median over 41 one-way messages, under the same model, of receive
+// completion minus send minus the modeled latency. A receive may not
+// complete before the modeled flight time, so this is the wait path's
+// overshoot.
+//
 // Expected shape: A — the fused graph's advantage grows with block count
 // where a step's tail leaves workers idle (bounded by the host's ~3.3
 // effective cores; see EXPERIMENTS.md); B — sync time/step grows roughly
 // linearly with injected latency while overlap's growth is mostly hidden
-// (overlap_speedup rising with latency).
+// (overlap_speedup rising with latency); recv_late_us stays a few
+// microseconds at every latency.
+
+#include <algorithm>
+#include <chrono>
+#include <vector>
 
 #include "rshc/parallel/thread_pool.hpp"
 #include "rshc/solver/distributed.hpp"
@@ -69,7 +80,7 @@ int main() {
 
   // --- Part B: injected message latency, sync vs overlapped -------------
   Table b({"latency_us", "sync_sec_per_step", "overlap_sec_per_step",
-           "overlap_speedup", "messages_per_step"});
+           "overlap_speedup", "messages_per_step", "recv_late_us"});
   b.set_title("F6b: distributed step cost vs injected per-message latency "
               "(4 ranks, 96^2, sync vs latency-hiding exchange)");
   for (const double latency_us : {0.0, 250.0, 1000.0, 2000.0}) {
@@ -104,8 +115,33 @@ int main() {
     };
     const double sync_step = run(false);
     const double overlap_step = run(true);
+
+    // Punctuality: one-way messages whose payload is the sender's clock
+    // just before send; the receiver logs completion - send - latency.
+    std::vector<double> late_us;
+    comm::run_world(
+        2,
+        [&late_us, latency_us](comm::Communicator& c) {
+          using Clock = std::chrono::steady_clock;
+          for (int i = 0; i < 41; ++i) {
+            c.barrier();
+            if (c.rank() == 0) {
+              c.send_value(1, 0, Clock::now().time_since_epoch().count());
+            } else {
+              const Clock::time_point sent(
+                  Clock::duration(c.recv_value<Clock::rep>(0, 0)));
+              const std::chrono::duration<double, std::micro> flight =
+                  Clock::now() - sent;
+              late_us.push_back(flight.count() - latency_us);
+            }
+          }
+        },
+        model);
+    std::nth_element(late_us.begin(), late_us.begin() + late_us.size() / 2,
+                     late_us.end());
+
     b.add_row({latency_us, sync_step, overlap_step, sync_step / overlap_step,
-               msgs_per_step});
+               msgs_per_step, late_us[late_us.size() / 2]});
   }
   bench::emit(b, "f6b_overlap_latency");
   if (!all_match) {

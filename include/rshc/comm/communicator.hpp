@@ -4,8 +4,15 @@
 // with a mailbox; send() copies the payload into the destination mailbox and
 // recv() blocks until a matching (source, tag) message arrives. A transfer
 // model (latency + bandwidth) can be injected so overlap experiments (F6)
-// see realistic message costs: a message only becomes *receivable* after its
-// modeled flight time has elapsed.
+// see realistic message costs.
+//
+// Delivery contract: a message is receivable at its ready_at (send time +
+// modeled flight time), never earlier, and a waiting receive takes it
+// within one poll of ready_at. The wait parks on the mailbox condition
+// variable until shortly before ready_at and then polls (unlock, yield,
+// relock, rescan): a timed sleep to ready_at itself would wake late by the
+// kernel's timer slack (50 us by default on Linux), which would stretch
+// every modeled flight by more than half of a 100 us latency.
 //
 // The subset implemented mirrors the dozen-routine core of MPI that the LLNL
 // tutorial calls out: send/recv, sendrecv, barrier, allreduce, bcast, gather.
@@ -19,6 +26,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -31,6 +39,9 @@ inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
 
 /// Modeled network cost per message; zero-initialized = instantaneous.
+/// flight_time() is exact: a message sent at t is receivable at
+/// t + flight_time(), never earlier, and a waiting receive takes it within
+/// one poll of that instant (see the delivery contract above).
 struct TransferModel {
   double latency_sec = 0.0;        ///< per-message latency
   double bandwidth_bytes_per_sec = 0.0;  ///< 0 => infinite
@@ -239,15 +250,18 @@ class World {
   static bool matches(const Message& m, int source, int tag);
 
   void deliver(int dest, Message msg);
-  Message take_matching(int me, int source, int tag);
-  /// Non-blocking take: succeeds only when the pattern's FIFO head-of-line
-  /// match exists *and* its modeled flight time has elapsed (a ready later
-  /// message never overtakes an in-flight earlier one).
-  bool try_take_matching(int me, int source, int tag, Message& out);
-  /// Block until any pattern's head-of-line match is ready; take it and
-  /// return the pattern index (lowest index wins ties).
-  std::size_t take_any(int me, std::span<const RecvPattern> patterns,
-                       Message& out);
+  /// take_any over the single pattern (source, tag).
+  std::optional<Message> take_matching(int me, int source, int tag,
+                                       bool block);
+  /// Take the first ready head-of-line match of any pattern and return the
+  /// pattern index (lowest index wins ties). Only a pattern's *first* FIFO
+  /// match is eligible, and only once its ready_at has passed, so a ready
+  /// later message never overtakes an in-flight earlier one. With `block`
+  /// false, returns nullopt instead of waiting; with `block` true, waits
+  /// under the delivery contract in the header comment.
+  std::optional<std::size_t> take_any(int me,
+                                      std::span<const RecvPattern> patterns,
+                                      Message& out, bool block);
 
   int size_;
   TransferModel model_;

@@ -152,16 +152,13 @@ inline Prim c2p_floored(const Prim& w, const Con2PrimOptions& opt) {
   return out;
 }
 
-}  // namespace detail
-
-/// Recover primitives from conservatives. Always returns a usable Prim:
-/// when the root solve fails or the state is unphysical, the atmosphere
-/// floor is applied and `floored` is set. `guess` is the zone's previous
-/// primitive state; its pressure starts the Newton solve when admissible
-/// (see detail::c2p_start), and the default takes the cold start.
-[[nodiscard]] inline Con2PrimResult cons_to_prim(
-    const Cons& u, const eos::IdealGas& eos, const Con2PrimOptions& opt = {},
-    const Prim& guess = {}) {
+/// The root solve behind cons_to_prim, without its checked-build state
+/// check: the batched kernels run it on their per-zone tail, and the
+/// solver checks every zone those kernels write, with its coordinates.
+[[nodiscard]] inline Con2PrimResult c2p_solve(const Cons& u,
+                                              const eos::IdealGas& eos,
+                                              const Con2PrimOptions& opt,
+                                              const Prim& guess) {
   Con2PrimResult out;
   out.prim = Prim{opt.rho_floor, 0.0, 0.0, 0.0, opt.p_floor};  // atmosphere
   out.floored = true;
@@ -179,6 +176,20 @@ inline Prim c2p_floored(const Prim& w, const Con2PrimOptions& opt) {
       s.p = detail::c2p_step(r, s.p, s.lo, s.hi);
     }
   }
+  return out;
+}
+
+}  // namespace detail
+
+/// Recover primitives from conservatives. Always returns a usable Prim:
+/// when the root solve fails or the state is unphysical, the atmosphere
+/// floor is applied and `floored` is set. `guess` is the zone's previous
+/// primitive state; its pressure starts the Newton solve when admissible
+/// (see detail::c2p_start), and the default takes the cold start.
+[[nodiscard]] inline Con2PrimResult cons_to_prim(
+    const Cons& u, const eos::IdealGas& eos, const Con2PrimOptions& opt = {},
+    const Prim& guess = {}) {
+  const Con2PrimResult out = detail::c2p_solve(u, eos, opt, guess);
   // Whatever the root solve did, what leaves c2p must be physical —
   // including the floored components (a misconfigured atmosphere is a
   // checkable bug, not a recoverable state).

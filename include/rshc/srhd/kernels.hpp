@@ -33,7 +33,9 @@ enum class Variant { kScalar, kSimd };
                       double* tau, double gamma);                              \
   /* cons -> prim over n zones; returns iteration/failure stats. The prim */  \
   /* arrays are read first, as each zone's guess (its old pressure), and */    \
-  /* then overwritten; zero-filled arrays give the cold start. */             \
+  /* then overwritten; zero-filled arrays give the cold start. Unlike */       \
+  /* cons_to_prim it checks no state: the caller, which knows each zone's */   \
+  /* block and coordinates, does (solver::core::update_batched). */            \
   BatchStats cons_to_prim_n(std::size_t n, const double* d,                    \
                             const double* sx, const double* sy,                \
                             const double* sz, const double* tau, double* rho,  \

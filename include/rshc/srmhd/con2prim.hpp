@@ -231,16 +231,13 @@ struct C2PStart {
   return w;
 }
 
-}  // namespace detail
-
-/// Recover primitives from conservatives. Always returns a usable Prim:
-/// when the root solve fails or the state is unphysical, the atmosphere
-/// floor is applied and `floored` is set. `guess` is the zone's previous
-/// primitive state; its z starts the Newton solve when admissible (see
-/// detail::c2p_first), and the default takes the cold start.
-[[nodiscard]] inline Con2PrimResult cons_to_prim(
-    const Cons& u, const eos::IdealGas& eos, const Con2PrimOptions& opt = {},
-    const Prim& guess = {}) {
+/// The root solve behind cons_to_prim, without its checked-build state
+/// check: the batched kernels run it on their per-zone tail, and the
+/// solver checks every zone those kernels write, with its coordinates.
+[[nodiscard]] inline Con2PrimResult c2p_solve(const Cons& u,
+                                              const eos::IdealGas& eos,
+                                              const Con2PrimOptions& opt,
+                                              const Prim& guess) {
   Con2PrimResult out;
   out.prim = detail::c2p_atmosphere(u, opt);
   out.floored = true;
@@ -263,6 +260,20 @@ struct C2PStart {
       z = detail::c2p_step(r, z, s.lo, s.hi);
     }
   }
+  return out;
+}
+
+}  // namespace detail
+
+/// Recover primitives from conservatives. Always returns a usable Prim:
+/// when the root solve fails or the state is unphysical, the atmosphere
+/// floor is applied and `floored` is set. `guess` is the zone's previous
+/// primitive state; its z starts the Newton solve when admissible (see
+/// detail::c2p_first), and the default takes the cold start.
+[[nodiscard]] inline Con2PrimResult cons_to_prim(
+    const Cons& u, const eos::IdealGas& eos, const Con2PrimOptions& opt = {},
+    const Prim& guess = {}) {
+  const Con2PrimResult out = detail::c2p_solve(u, eos, opt, guess);
   // Same contract as SRHD: nothing unphysical leaves c2p, floored or not
   // (see check.hpp; zone provenance is added by the solver site).
   RSHC_CHECK_PRIM("srmhd.con2prim", out.prim, -1, -1, -1, -1);

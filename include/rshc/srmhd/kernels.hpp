@@ -26,8 +26,9 @@ struct BatchStats {
 #define RSHC_SRMHD_DECLARE_KERNELS                                            \
   /* cons -> prim over n zones (B and psi pass through); returns stats. */    \
   /* rho, vx, vy, vz and p are read first, as each zone's guess (its old */    \
-  /* z = rho h W^2), and then overwritten; zero-filled arrays give the */      \
-  /* cold start. */                                                           \
+  /* z = rho h W^2), and then overwritten; zero-filled arrays give the */     \
+  /* cold start. No state check, as in the SRHD kernel: the caller */         \
+  /* checks each zone with its coordinates. */                                \
   BatchStats cons_to_prim_n(                                                  \
       std::size_t n, const double* d, const double* sx, const double* sy,     \
       const double* sz, const double* tau, const double* ubx,                 \

@@ -10,6 +10,11 @@ namespace rshc::comm {
 
 namespace {
 
+/// How long before ready_at a waiting receive stops parking and polls (the
+/// delivery contract in communicator.hpp): a little above Linux's default
+/// 50 us timer slack, by which a timed sleep overshoots.
+constexpr auto kPollWindow = std::chrono::microseconds(80);
+
 /// splitmix64 finalizer: uniform in [0, 1) from a message sequence number.
 double jitter_fraction(std::uint64_t seq) noexcept {
   std::uint64_t z = seq + 0x9e3779b97f4a7c15ULL;
@@ -67,33 +72,18 @@ bool World::matches(const Message& m, int source, int tag) {
          (tag == kAnyTag || m.tag == tag);
 }
 
-World::Message World::take_matching(int me, int source, int tag) {
+std::optional<World::Message> World::take_matching(int me, int source,
+                                                   int tag, bool block) {
   Message out;
   const RecvPattern pattern{source, tag};
-  (void)take_any(me, std::span<const RecvPattern>(&pattern, 1), out);
+  if (!take_any(me, std::span<const RecvPattern>(&pattern, 1), out, block)) {
+    return std::nullopt;
+  }
   return out;
 }
 
-bool World::try_take_matching(int me, int source, int tag, Message& out) {
-  Mailbox& box = *mailboxes_[static_cast<std::size_t>(me)];
-  LockGuard lock(box.mutex);
-  // Same head-of-line rule as the blocking path: only the *first* FIFO
-  // match may be taken, and only once its flight time has elapsed.
-  for (auto it = box.messages.begin(); it != box.messages.end(); ++it) {
-    if (!matches(*it, source, tag)) continue;
-    if (it->ready_at > std::chrono::steady_clock::now()) return false;
-    out = std::move(*it);
-    box.messages.erase(it);
-    introspect::mailbox_depth_counter().fetch_sub(1,
-                                                  std::memory_order_relaxed);
-    introspect::received_counter().fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
-}
-
-std::size_t World::take_any(int me, std::span<const RecvPattern> patterns,
-                            Message& out) {
+std::optional<std::size_t> World::take_any(
+    int me, std::span<const RecvPattern> patterns, Message& out, bool block) {
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(me)];
   LockGuard lock(box.mutex);
   for (;;) {
@@ -123,10 +113,17 @@ std::size_t World::take_any(int me, std::span<const RecvPattern> patterns,
         break;  // head-of-line only: do not look past the first match
       }
     }
-    if (earliest != std::chrono::steady_clock::time_point::max()) {
-      box.cv.wait_until(lock.native_lock(), earliest);
-    } else {
+    if (!block) return std::nullopt;
+    if (earliest == std::chrono::steady_clock::time_point::max()) {
       box.cv.wait(lock.native_lock());
+    } else if (earliest - now > kPollWindow) {
+      box.cv.wait_until(lock.native_lock(), earliest - kPollWindow);
+    } else {
+      // Inside the window a timed sleep would overshoot ready_at by the
+      // timer slack, so poll: drop the lock, yield, rescan.
+      lock.native_lock().unlock();
+      std::this_thread::yield();
+      lock.native_lock().lock();
     }
   }
 }
@@ -157,7 +154,7 @@ void Communicator::send_bytes(int dest, int tag,
 int Communicator::recv_bytes(int source, int tag, std::span<std::byte> out) {
   RSHC_TRACE_SCOPE("comm.recv", "comm", source);
   RSHC_OBS_COUNT("comm.messages_received", 1);
-  World::Message msg = world_->take_matching(rank_, source, tag);
+  World::Message msg = *world_->take_matching(rank_, source, tag, true);
   RSHC_OBS_FLOW_END("comm.msg", "comm", msg.flow_id);
   RSHC_REQUIRE(msg.payload.size() == out.size(),
                "recv size mismatch: expected " + std::to_string(out.size()) +
@@ -170,7 +167,7 @@ std::vector<std::byte> Communicator::recv_any_bytes(int source, int tag,
                                                     int* actual_source) {
   RSHC_TRACE_SCOPE("comm.recv", "comm", source);
   RSHC_OBS_COUNT("comm.messages_received", 1);
-  World::Message msg = world_->take_matching(rank_, source, tag);
+  World::Message msg = *world_->take_matching(rank_, source, tag, true);
   RSHC_OBS_FLOW_END("comm.msg", "comm", msg.flow_id);
   if (actual_source != nullptr) *actual_source = msg.source;
   return std::move(msg.payload);
@@ -241,12 +238,10 @@ int CommFuture::source() const {
 bool CommFuture::test() {
   RSHC_REQUIRE(state_ != nullptr, "test() on an empty CommFuture");
   if (done()) return true;
-  World::Message msg;
-  if (!state_->world->try_take_matching(state_->me, state_->source,
-                                        state_->tag, msg)) {
-    return false;
-  }
-  state_->finish(std::move(msg));
+  std::optional<World::Message> msg = state_->world->take_matching(
+      state_->me, state_->source, state_->tag, false);
+  if (!msg) return false;
+  state_->finish(std::move(*msg));
   return true;
 }
 
@@ -257,8 +252,8 @@ int CommFuture::wait() {
     if (state_->done) return state_->actual_source;
   }
   RSHC_TRACE_SCOPE("comm.wait", "comm", state_->tag);
-  World::Message msg =
-      state_->world->take_matching(state_->me, state_->source, state_->tag);
+  World::Message msg = *state_->world->take_matching(
+      state_->me, state_->source, state_->tag, true);
   return state_->finish(std::move(msg));
 }
 
@@ -289,7 +284,7 @@ std::size_t CommFuture::wait_any(std::span<CommFuture* const> futures) {
   RSHC_TRACE_SCOPE("comm.wait", "comm",
                    static_cast<int>(patterns.size()));
   World::Message msg;
-  const std::size_t p = world->take_any(me, patterns, msg);
+  const std::size_t p = *world->take_any(me, patterns, msg, true);
   const std::size_t idx = pending[p];
   futures[idx]->state_->finish(std::move(msg));
   return idx;

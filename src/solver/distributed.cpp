@@ -97,7 +97,7 @@ void DistributedSolver<Physics>::begin_exchange() {
       if (!nbr.has_value()) continue;
       const auto buf = halo_bufs_.send(axis, side);
       {
-        RSHC_TRACE_SCOPE("halo.pack", "comm", axis);
+        RSHC_OBS_PHASE("halo.pack", "comm", axis);
         mesh::pack_face(blk, axis, side, buf);
       }
       RSHC_OBS_COUNT("halo.messages_sent", 1);
@@ -141,8 +141,8 @@ void DistributedSolver<Physics>::finish_exchange(const FaceReadyFn& ready) {
   while (!pending.empty()) {
     std::size_t idx;
     {
-      RSHC_TRACE_SCOPE("halo.wait", "comm",
-                       static_cast<int>(pending.size()));
+      RSHC_OBS_PHASE("halo.wait", "comm",
+                     static_cast<int>(pending.size()));
       idx = comm::CommFuture::wait_any(
           std::span<comm::CommFuture* const>(pending.data(),
                                              pending.size()));
@@ -152,7 +152,7 @@ void DistributedSolver<Physics>::finish_exchange(const FaceReadyFn& ready) {
     halo_guard_.complete(axis, side);
     halo_guard_.consume(axis, side);
     {
-      RSHC_TRACE_SCOPE("halo.unpack", "comm", axis);
+      RSHC_OBS_PHASE("halo.unpack", "comm", axis);
       mesh::unpack_ghost(blk, axis, side, halo_bufs_.recv(axis, side));
     }
     recv_futures_[face_slot(axis, side)] = comm::CommFuture{};

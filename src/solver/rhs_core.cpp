@@ -256,7 +256,8 @@ void update_batched(const BlockShape& sh, const typename Physics::Context& ctx,
         Physics::cons_to_prim_n(true, nx, uptr, wptr, ctx, stats);
 #if RSHC_CHECKS_ENABLED
         // Nothing unphysical may leave c2p, even when the atmosphere
-        // fallback healed the zone.
+        // fallback healed the zone. The kernels leave this check to the
+        // row, which knows every zone's block and coordinates.
         for (std::size_t i = 0; i < nx; ++i) {
           double comp[Physics::kNumPrim];
           for (int v = 0; v < Physics::kNumPrim; ++v) comp[v] = wptr[v][i];

@@ -223,6 +223,66 @@ TEST(CheckSolver, SeededUnphysicalZoneIsReportedWithCoordinates) {
   EXPECT_GT(s.c2p_stats().floored_zones, 0);
 }
 
+#if RSHC_CHECKS_ENABLED
+// Seed one bad zone (NaN D under a broken atmosphere) and step once. The
+// batched c2p kernels leave the state check to the solver's row, so the
+// first report already names the block and the zone, and no report lacks
+// them. A row of 12 zones runs one lane-masked group of 8 and a per-zone
+// tail of 4; the bad zone sits in each in turn.
+template <typename Solver, typename Prim>
+void expect_seeded_c2p_zone_reported(typename Solver::Options opt,
+                                     const Prim& w0) {
+  opt.physics.c2p.rho_floor = -1.0;  // seeded misconfiguration
+  const mesh::Grid g = mesh::Grid::make_2d(12, 4, 0.0, 1.0, 0.0, 1.0);
+  for (const int di : {3, 10}) {
+    SCOPED_TRACE("zone " + std::to_string(di) + " of the row");
+    Solver s(g, opt);
+    s.initialize([&w0](double, double, double) { return w0; });
+    auto& blk = s.block(0);
+    const int i = blk.begin(0) + di;
+    const int j = blk.begin(1) + 2;
+    blk.cons()(0, 0, j, i) = kNaN;  // D, in both physics
+
+    static std::vector<std::string> reports;
+    reports.clear();
+    CountScope scope;
+    check::set_failure_hook([](const char* r) { reports.emplace_back(r); });
+    s.step(1e-3);
+    check::set_failure_hook(nullptr);
+
+    ASSERT_FALSE(reports.empty());
+    const std::string zone = "(block 0 zone i=" + std::to_string(i) +
+                             " j=" + std::to_string(j) + " k=0)";
+    EXPECT_NE(reports.front().find("[c2p]"), std::string::npos)
+        << reports.front();
+    EXPECT_NE(reports.front().find(zone), std::string::npos)
+        << reports.front();
+    for (const std::string& r : reports) {
+      EXPECT_NE(r.find("(block "), std::string::npos) << r;
+    }
+  }
+}
+
+TEST(CheckSolver, SeededC2PZoneIsNamedByTheFirstReport) {
+  expect_seeded_c2p_zone_reported<solver::SrhdSolver>(
+      periodic_opts(), srhd::Prim{1.0, 0.1, -0.1, 0.0, 1.0});
+}
+
+TEST(CheckSolver, SeededSrmhdC2PZoneIsNamedByTheFirstReport) {
+  solver::SrmhdSolver::Options opt;
+  opt.recon = recon::Method::kPLMMC;
+  opt.bc = mesh::BoundarySpec::all(mesh::BcType::kPeriodic);
+  opt.physics.eos = eos::IdealGas(5.0 / 3.0);
+  srmhd::Prim w0;
+  w0.rho = 1.0;
+  w0.p = 1.0;
+  w0.vx = 0.1;
+  w0.bx = 0.5;
+  w0.by = 0.25;
+  expect_seeded_c2p_zone_reported<solver::SrmhdSolver>(opt, w0);
+}
+#endif  // RSHC_CHECKS_ENABLED
+
 TEST(CheckSolver, SaneFloorsHealNaNZoneWithoutViolations) {
   auto opt = periodic_opts();  // default (positive) floors
   const mesh::Grid g = mesh::Grid::make_1d(16, 0.0, 1.0);

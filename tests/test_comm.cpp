@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <thread>
 
 #include "rshc/comm/cart_topology.hpp"
 #include "rshc/comm/communicator.hpp"
@@ -132,6 +137,164 @@ TEST(Comm, LatencyDelaysDelivery) {
       },
       model);
 }
+
+// --- delivery contract: never before send + flight time ------------------
+
+using Clock = std::chrono::steady_clock;
+
+// The payload is the sender's clock reading taken just before send, so
+// ready_at >= stamp + flight_time: an exact bound, however late either
+// thread is scheduled.
+std::int64_t stamp_now() { return Clock::now().time_since_epoch().count(); }
+Clock::time_point from_stamp(std::int64_t s) {
+  return Clock::time_point(Clock::duration(s));
+}
+
+enum class RecvPath { kRecv, kIrecvWait, kWaitAny, kTestPoll };
+
+struct DeliveryCase {
+  RecvPath path;
+  double latency_sec;
+};
+
+class EveryReceivePath : public ::testing::TestWithParam<DeliveryCase> {};
+
+std::string delivery_case_name(
+    const ::testing::TestParamInfo<DeliveryCase>& info) {
+  static constexpr const char* kNames[] = {"Recv", "IrecvWait", "WaitAny",
+                                           "TestPoll"};
+  return std::string(kNames[static_cast<int>(info.param.path)]) + "_" +
+         std::to_string(std::lround(info.param.latency_sec * 1e6)) + "us";
+}
+
+// Latencies below, across and well above the poll window, so the receive
+// polls from the start, parks then polls, or parks for most of the flight.
+TEST_P(EveryReceivePath, NeverCompletesBeforeSendPlusFlightTime) {
+  const DeliveryCase dc = GetParam();
+  TransferModel model;
+  model.latency_sec = dc.latency_sec;
+  const auto flight = model.flight_time(sizeof(std::int64_t));
+  constexpr int kMessages = 6;
+  run_world(
+      2,
+      [&](Communicator& c) {
+        if (c.rank() == 0) {
+          for (int i = 0; i < kMessages; ++i) {
+            // Tags 0/1 alternate so wait_any has two patterns to race.
+            c.send_value(1, i % 2, stamp_now());
+          }
+          return;
+        }
+        std::int64_t got[2] = {0, 0};
+        for (int i = 0; i < kMessages; i += 2) {
+          Clock::time_point done[2];
+          switch (dc.path) {
+            case RecvPath::kRecv:
+              for (int t = 0; t < 2; ++t) {
+                got[t] = c.recv_value<std::int64_t>(0, t);
+                done[t] = Clock::now();
+              }
+              break;
+            case RecvPath::kIrecvWait:
+            case RecvPath::kTestPoll:
+              for (int t = 0; t < 2; ++t) {
+                CommFuture f =
+                    c.irecv(0, t, std::span<std::int64_t>(&got[t], 1));
+                if (dc.path == RecvPath::kTestPoll) {
+                  while (!f.test()) std::this_thread::yield();
+                } else {
+                  f.wait();
+                }
+                done[t] = Clock::now();
+              }
+              break;
+            case RecvPath::kWaitAny: {
+              CommFuture f0 =
+                  c.irecv(0, 0, std::span<std::int64_t>(&got[0], 1));
+              CommFuture f1 =
+                  c.irecv(0, 1, std::span<std::int64_t>(&got[1], 1));
+              CommFuture* fs[] = {&f0, &f1};
+              const std::size_t first = CommFuture::wait_any(fs);
+              done[first] = Clock::now();
+              CommFuture::wait_any(std::span<CommFuture* const>(
+                  &fs[1 - first], 1));
+              done[1 - first] = Clock::now();
+              break;
+            }
+          }
+          for (int t = 0; t < 2; ++t) {
+            EXPECT_GE(done[t], from_stamp(got[t]) + flight)
+                << "message " << i + t << " taken before its flight time";
+          }
+        }
+      },
+      model);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, EveryReceivePath,
+    ::testing::Values(DeliveryCase{RecvPath::kRecv, 40e-6},
+                      DeliveryCase{RecvPath::kRecv, 150e-6},
+                      DeliveryCase{RecvPath::kRecv, 2e-3},
+                      DeliveryCase{RecvPath::kIrecvWait, 40e-6},
+                      DeliveryCase{RecvPath::kIrecvWait, 150e-6},
+                      DeliveryCase{RecvPath::kIrecvWait, 2e-3},
+                      DeliveryCase{RecvPath::kWaitAny, 40e-6},
+                      DeliveryCase{RecvPath::kWaitAny, 150e-6},
+                      DeliveryCase{RecvPath::kWaitAny, 2e-3},
+                      DeliveryCase{RecvPath::kTestPoll, 40e-6},
+                      DeliveryCase{RecvPath::kTestPoll, 150e-6},
+                      DeliveryCase{RecvPath::kTestPoll, 2e-3}),
+    delivery_case_name);
+
+class SameTagUnderJitter : public ::testing::TestWithParam<double> {};
+
+// Same-tag FIFO order survives per-message jitter: a later message whose
+// jittered flight is shorter is ready first, yet must wait behind the
+// head. A jitter window below the receive's poll window puts every such
+// overtaking chance inside the poll phase; a wide one inside the park.
+TEST_P(SameTagUnderJitter, LaterShorterFlightNeverOvertakesTheHead) {
+  TransferModel model;
+  model.latency_sec = 100e-6;
+  model.jitter_sec = GetParam();
+  constexpr int kMessages = 24;
+  // The send sequence of a fresh World starts at 0: check up front that
+  // the jitter really hands some later message a shorter flight.
+  bool inverted = false;
+  for (int i = 1; i < kMessages; ++i) {
+    inverted =
+        inverted || model.flight_time(8, i) < model.flight_time(8, i - 1);
+  }
+  ASSERT_TRUE(inverted);
+  run_world(
+      2,
+      [](Communicator& c) {
+        if (c.rank() == 0) {
+          for (int i = 0; i < kMessages; ++i) {
+            c.send_value(1, 9, static_cast<double>(i));
+          }
+          return;
+        }
+        for (int i = 0; i < kMessages; ++i) {
+          // Alternate the blocking and the polling receive paths.
+          double v = -1.0;
+          if (i % 2 == 0) {
+            v = c.recv_value<double>(0, 9);
+          } else {
+            CommFuture f = c.irecv(0, 9, std::span<double>(&v, 1));
+            while (!f.test()) std::this_thread::yield();
+          }
+          EXPECT_EQ(v, static_cast<double>(i));
+        }
+      },
+      model);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Windows, SameTagUnderJitter, ::testing::Values(60e-6, 3e-3),
+    [](const ::testing::TestParamInfo<double>& info) {
+      return "Jitter_" + std::to_string(std::lround(info.param * 1e6)) + "us";
+    });
 
 TEST(Comm, BarrierSeparatesPhases) {
   constexpr int kN = 4;

@@ -11,6 +11,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -201,26 +202,26 @@ TEST(Overlap, OverlapMatchesSerialSolverBitwise) {
 }
 
 #if RSHC_OBS_ENABLED
-TEST(Overlap, CountersObserveInteriorWork) {
+// Rank 0's metrics after `steps` overlapped steps of a 2x2 rank world on
+// 24x24 zones; the other ranks report into the global registry.
+obs::Snapshot rank0_snapshot(int steps) {
   const mesh::Grid g = mesh::Grid::make_2d(24, 24, 0.0, 1.0, 0.0, 1.0);
   const auto opt = matrix_opts<solver::SrhdPhysics>(recon::Method::kPLMMC,
                                                     riemann::Solver::kHLL);
   obs::Registry reg;
   comm::run_world(4, [&](comm::Communicator& c) {
-    if (c.rank() == 0) {
-      obs::ScopedRegistry scope(reg);
-      solver::DistributedSrhdSolver s(g, c, opt);
-      s.set_overlap(true);
-      s.initialize(wavy_srhd_ic);
-      for (int i = 0; i < 3; ++i) s.step(0.003);
-    } else {
-      solver::DistributedSrhdSolver s(g, c, opt);
-      s.set_overlap(true);
-      s.initialize(wavy_srhd_ic);
-      for (int i = 0; i < 3; ++i) s.step(0.003);
-    }
+    std::optional<obs::ScopedRegistry> scope;
+    if (c.rank() == 0) scope.emplace(reg);
+    solver::DistributedSrhdSolver s(g, c, opt);
+    s.set_overlap(true);
+    s.initialize(wavy_srhd_ic);
+    for (int i = 0; i < steps; ++i) s.step(0.003);
   });
-  const obs::Snapshot snap = reg.snapshot();
+  return reg.snapshot();
+}
+
+TEST(Overlap, CountersObserveInteriorWork) {
+  const obs::Snapshot snap = rank0_snapshot(3);
   // 12x12 rank block, ng=2: interior box is 8x8 = 64 zones per stage,
   // 3 stages x 3 steps = 576 interior zones overlapped with comm.
   const obs::Snapshot::Entry* zones =
@@ -231,7 +232,24 @@ TEST(Overlap, CountersObserveInteriorWork) {
   // accumulated; on this tiny block it may legitimately stay unregistered,
   // so only its consistency is asserted, not its presence.
   const obs::Snapshot::Entry* hidden = snap.find("comm.overlap.hidden_ms");
-  if (hidden != nullptr) EXPECT_GE(hidden->value, 0.0);
+  if (hidden != nullptr) {
+    EXPECT_GE(hidden->value, 0.0);
+  }
+}
+
+// The halo's pack, wait and unpack are registry timers, so a run without a
+// trace still shows where the exchange time went. A rank of the periodic
+// 2x2 world has a neighbour on all 4 faces: one sample per face for every
+// exchange (3 RK stages per step, plus the one initialize runs).
+TEST(Overlap, HaloPhasesAreRegistryTimers) {
+  const obs::Snapshot snap = rank0_snapshot(3);
+  for (const char* name : {"halo.pack", "halo.wait", "halo.unpack"}) {
+    SCOPED_TRACE(name);
+    const obs::Snapshot::Entry* e = snap.find(name);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->kind, "timer");
+    EXPECT_EQ(e->count, 4 * (3 * 3 + 1));
+  }
 }
 #endif
 
