@@ -8,9 +8,11 @@
 //
 // This is the "zero to offload" tour of the device and runtime layers the
 // paper's heterogeneous pipeline rests on. It also runs with live
-// telemetry: a journal run bracket (RSHC_JOURNAL_OUT), the periodic
-// sampler (RSHC_TELEMETRY_OUT / RSHC_TELEMETRY_INTERVAL_MS) and the stall
-// watchdog (RSHC_WATCHDOG); RSHC_DUMP_REPORT=1 writes the run report.
+// telemetry: a journal run bracket (RSHC_JOURNAL_OUT) and the periodic
+// sampler (RSHC_TELEMETRY_OUT / RSHC_TELEMETRY_INTERVAL_MS), under the
+// process's one stall watchdog (RSHC_WATCHDOG / RSHC_WATCHDOG_TIMEOUT_MS,
+// parallel/watchdog.hpp; it works in every build, and with RSHC_OBS on
+// journals a dump per stall); RSHC_DUMP_REPORT=1 writes the run report.
 
 #include <cmath>
 #include <cstdio>
@@ -25,6 +27,7 @@
 #include "rshc/obs/obs.hpp"
 #include "rshc/obs/telemetry.hpp"
 #include "rshc/parallel/thread_pool.hpp"
+#include "rshc/parallel/watchdog.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/fv_solver.hpp"
 
@@ -50,7 +53,7 @@ int main(int argc, char** argv) {
   obs::journal::run_start("heterogeneous");
   obs::telemetry::Sampler sampler;  // options from RSHC_TELEMETRY_*
   sampler.start();
-  obs::telemetry::Watchdog watchdog;  // options from RSHC_WATCHDOG*
+  parallel::Watchdog watchdog;  // options from RSHC_WATCHDOG*
   watchdog.start();
 
   const mesh::Grid grid = mesh::Grid::make_2d(n, n, 0.0, 1.0, 0.0, 1.0);

@@ -3,8 +3,6 @@
 
 #include <chrono>
 
-#include "rshc/common/error.hpp"
-
 namespace rshc {
 
 /// Monotonic wall-clock stopwatch.
@@ -22,30 +20,6 @@ class WallTimer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulates elapsed time across start()/stop() pairs. Unpaired calls
-/// (start while running, stop without start) are misuse: they assert in
-/// debug builds and are ignored in NDEBUG builds.
-class AccumTimer {
- public:
-  void start() {
-    RSHC_ASSERT(!running_ && "AccumTimer::start() while already running");
-    timer_.reset();
-    running_ = true;
-  }
-  void stop() {
-    RSHC_ASSERT(running_ && "AccumTimer::stop() without a matching start()");
-    if (running_) total_ += timer_.seconds();
-    running_ = false;
-  }
-  [[nodiscard]] double seconds() const { return total_; }
-  void clear() { total_ = 0.0; running_ = false; }
-
- private:
-  WallTimer timer_;
-  double total_ = 0.0;
-  bool running_ = false;
 };
 
 }  // namespace rshc

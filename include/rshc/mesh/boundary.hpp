@@ -1,7 +1,8 @@
 #pragma once
 // Physical boundary conditions on the primitive ghost zones.
-//   kPeriodic — handled by halo exchange / apply_periodic, listed here so a
-//               full BC specification can be stored per axis.
+//   kPeriodic — handled by the halo fill (copy_halo / pack-unpack; a
+//               single periodic block is its own neighbour), listed here
+//               so a full BC specification can be stored per axis.
 //   kOutflow  — zero-gradient copy of the nearest interior layer.
 //   kReflect  — mirror interior layers; variables listed in
 //               ReflectSpec::negate_vars (normal velocity, normal B) flip

@@ -79,7 +79,4 @@ void unpack_ghost(Block& dst, int axis, int side,
 /// transverse extents.
 void copy_halo(Block& dst, const Block& src, int axis, int side);
 
-/// Single-block periodic wrap along `axis` (both faces).
-void apply_periodic(Block& b, int axis);
-
 }  // namespace rshc::mesh

@@ -1,6 +1,6 @@
 #pragma once
 // Live run telemetry (DESIGN.md system: observability — live layer).
-// Three cooperating pieces on top of the metrics Registry / span Tracer /
+// Two cooperating pieces on top of the metrics Registry / span Tracer /
 // event Journal:
 //
 //  - Sampler: a background thread that snapshots the Registry every
@@ -12,14 +12,9 @@
 //  - Solver heartbeat: FvSolver publishes per-step progress (step, t, dt,
 //    zones/sec, halo + device transfer bytes) as gauges, rank-scoped under
 //    a ScopedRegistry like every other metric, plus a process-global
-//    progress ticker the watchdog watches.
-//  - Watchdog: a background thread that declares a stall when work is
-//    visibly pending (task-graph nodes, mailbox messages — see the
-//    introspect hooks in parallel/task_graph.hpp, parallel/thread_pool.hpp
-//    and comm/communicator.hpp) but no progress signal has moved for
-//    RSHC_WATCHDOG_TIMEOUT_MS, then journals a diagnostic dump and, per
-//    RSHC_WATCHDOG=off|warn|fatal, stays quiet, warns (rate-limited), or
-//    aborts the run.
+//    progress ticker that is one term of the stall watchdog's process
+//    source (parallel/watchdog.hpp; the watchdog itself is not
+//    observability and works in every build).
 //
 // Compile gating mirrors obs.hpp: with RSHC_OBS=OFF everything here is an
 // inline no-op stub and src/obs/telemetry.cpp compiles to an empty object
@@ -28,7 +23,6 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "rshc/obs/metrics.hpp"
@@ -44,7 +38,6 @@
 #include <thread>
 #include <utility>
 
-#include "rshc/common/log.hpp"
 #include "rshc/common/mutex.hpp"
 #endif
 
@@ -53,7 +46,6 @@ namespace rshc::obs::telemetry {
 inline constexpr int kSchemaVersion = 1;
 inline constexpr const char* kSchemaName = "rshc.telemetry";
 inline constexpr int kDefaultIntervalMs = 250;
-inline constexpr int kDefaultWatchdogTimeoutMs = 5000;
 
 /// Most recent solver heartbeat (process-wide, last writer wins; on a
 /// multi-rank run each rank also carries the same values as rank-scoped
@@ -85,16 +77,6 @@ struct SamplerOptions {
   std::vector<std::string> counter_tracks;
 };
 
-enum class WatchdogPolicy { kOff, kWarn, kFatal };
-
-struct WatchdogOptions {
-  WatchdogPolicy policy = WatchdogPolicy::kOff;
-  std::chrono::milliseconds timeout{kDefaultWatchdogTimeoutMs};
-  /// Poll period; zero means derive timeout/4 (clamped to >= 10ms), which
-  /// bounds detection latency by ~1.25x the timeout.
-  std::chrono::milliseconds poll{0};
-};
-
 #if RSHC_OBS_ENABLED
 
 /// Default ph:"C" watch list: transfer byte counters + heartbeat gauges.
@@ -104,17 +86,10 @@ struct WatchdogOptions {
 /// RSHC_TELEMETRY_OUT, with default_counter_tracks().
 [[nodiscard]] SamplerOptions sampler_options_from_env();
 
-/// "off"/"0"/"false" -> kOff, "fatal" -> kFatal, anything else -> kWarn.
-[[nodiscard]] WatchdogPolicy parse_watchdog_policy(std::string_view s);
-
-/// Options from RSHC_WATCHDOG / RSHC_WATCHDOG_TIMEOUT_MS (policy defaults
-/// to kOff when RSHC_WATCHDOG is unset).
-[[nodiscard]] WatchdogOptions watchdog_options_from_env();
-
 /// Record a solver step: publishes solver.hb.* gauges into the calling
 /// thread's registry (scoped or global), folds in the current transfer
 /// byte counters, updates last_heartbeat(), and ticks the watchdog's
-/// progress counter. No-op when obs is disabled at runtime.
+/// process-source progress counter. No-op when obs is disabled at runtime.
 void publish_heartbeat(std::int64_t step, double t, double dt,
                        double zones_per_sec) noexcept;
 
@@ -172,48 +147,10 @@ class Sampler {
   std::thread thread_;  // managed by start()/stop() only
 };
 
-/// Background stall detector; see the header comment for the model.
-/// start()/stop() manage the thread; the destructor stops it.
-class Watchdog {
- public:
-  explicit Watchdog(WatchdogOptions opt = watchdog_options_from_env());
-  ~Watchdog();
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
-  void start();
-  void stop() noexcept;
-
-  [[nodiscard]] std::int64_t stalls_detected() const noexcept;
-
-  /// Sum of every progress ticker the watchdog watches (heartbeats, graph
-  /// nodes finished, pool tasks finished, messages received).
-  [[nodiscard]] static std::uint64_t progress_signal() noexcept;
-  /// Work visibly pending right now (graph nodes + mailbox messages).
-  [[nodiscard]] static std::int64_t pending_work() noexcept;
-
- private:
-  void loop();
-  void fire(std::int64_t idle_ms);
-
-  WatchdogOptions opt_;
-  log::RateLimit warn_limit_;
-  mutable Mutex mutex_;
-  std::condition_variable_any cv_;
-  bool stop_requested_ RSHC_GUARDED_BY(mutex_) = false;
-  // relaxed: test-visible stall counter, eventual visibility only.
-  std::atomic<std::int64_t> stalls_{0};
-  std::thread thread_;  // managed by start()/stop() only
-};
-
 #else  // !RSHC_OBS_ENABLED
 
 inline std::vector<std::string> default_counter_tracks() { return {}; }
 inline SamplerOptions sampler_options_from_env() { return {}; }
-inline WatchdogPolicy parse_watchdog_policy(std::string_view) {
-  return WatchdogPolicy::kOff;
-}
-inline WatchdogOptions watchdog_options_from_env() { return {}; }
 
 inline void publish_heartbeat(std::int64_t, double, double, double) noexcept {
 }
@@ -230,16 +167,6 @@ class Sampler {
   void sample_now() {}
   [[nodiscard]] std::vector<Sample> samples() const { return {}; }
   [[nodiscard]] std::int64_t samples_taken() const noexcept { return 0; }
-};
-
-class Watchdog {
- public:
-  explicit Watchdog(WatchdogOptions = {}) {}
-  void start() {}
-  void stop() noexcept {}
-  [[nodiscard]] std::int64_t stalls_detected() const noexcept { return 0; }
-  [[nodiscard]] static std::uint64_t progress_signal() noexcept { return 0; }
-  [[nodiscard]] static std::int64_t pending_work() noexcept { return 0; }
 };
 
 #endif  // RSHC_OBS_ENABLED

@@ -16,19 +16,20 @@
 //  - Isolation: with RSHC_OBS on, each job's solver metrics accumulate in
 //    a per-job obs::Registry (installed thread-locally while the job
 //    runs), and every lifecycle transition is journaled.
-//  - Stall monitoring is per job: only *running* jobs are scanned, so an
-//    idle queued job can neither fire nor mask a stall warning.
+//  - Stall detection: each *running* job is a source of the process's one
+//    stall watchdog (parallel/watchdog.hpp), registered when a worker takes
+//    the job and unregistered when it leaves kRunning, so an idle queued
+//    job can neither fire nor mask a stall warning. A job stall is counted
+//    and journaled, never fatal; with no Watchdog running nothing scans.
 //
-// Configuration comes from ServiceConfig or the RSHC_SERVE_* environment
-// (see service_config_from_env and README "Simulation service").
+// Configuration comes from ServiceConfig.
 
-#include <chrono>
+#include <atomic>
 #include <cstddef>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "rshc/common/mutex.hpp"
@@ -52,17 +53,9 @@ struct ServiceConfig {
   /// Aggregate interior-zone budget over queued + running jobs; a job's
   /// zones are held from admission until its terminal state.
   long long zone_budget = 1LL << 22;
-  /// Per-job stall alarm: a running job making no step progress for this
-  /// long is journaled and counted (never killed). 0 disables the monitor.
-  std::chrono::milliseconds stall_timeout{0};
   /// Directory for preemption checkpoints (created on construction).
   std::string checkpoint_dir = "serve_ckpt";
 };
-
-/// ServiceConfig with RSHC_SERVE_WORKERS / RSHC_SERVE_QUEUE_CAP /
-/// RSHC_SERVE_ZONE_BUDGET / RSHC_SERVE_STALL_MS / RSHC_SERVE_CKPT_DIR
-/// applied over the defaults (unset or malformed entries keep defaults).
-[[nodiscard]] ServiceConfig service_config_from_env();
 
 class SimulationService {
  public:
@@ -111,7 +104,8 @@ class SimulationService {
 
   void worker_loop() RSHC_EXCLUDES(mutex_);
   void run_job(const JobPtr& job) RSHC_EXCLUDES(mutex_);
-  void monitor_loop() RSHC_EXCLUDES(mutex_);
+  /// The running job's stall callback (watchdog thread, no lock held).
+  void on_job_stall(Job& job, std::int64_t idle_ms);
 
   ServiceConfig cfg_;
 
@@ -134,14 +128,9 @@ class SimulationService {
   std::int64_t cancelled_ RSHC_GUARDED_BY(mutex_) = 0;
   std::int64_t preempted_ RSHC_GUARDED_BY(mutex_) = 0;
   std::int64_t resumed_ RSHC_GUARDED_BY(mutex_) = 0;
-  std::int64_t stalled_ RSHC_GUARDED_BY(mutex_) = 0;
-
-  // Stall monitor plumbing (separate mutex: the monitor CV wait must not
-  // hold mutex_ between scans).
-  Mutex monitor_mutex_;
-  std::condition_variable monitor_cv_;
-  bool monitor_stop_ RSHC_GUARDED_BY(monitor_mutex_) = false;
-  std::thread monitor_;
+  // relaxed: bumped by the watchdog thread's stall callback, read by
+  // stats(); a count, no ordering needed.
+  std::atomic<std::int64_t> stalled_{0};
 
   // Declared last so any future member initialization precedes worker
   // startup; shutdown() quiesces workers before reset() joins them.

@@ -49,7 +49,6 @@ class DistributedSolver {
   /// On by default. Both schedules are bitwise identical; off exists for
   /// A/B timing (F6b) and as an escape hatch.
   void set_overlap(bool on);
-  [[nodiscard]] bool overlap_enabled() const { return overlap_; }
 
   [[nodiscard]] double time() const { return local_.time(); }
   [[nodiscard]] const mesh::Block& local_block() const {

@@ -99,9 +99,4 @@ void copy_halo(Block& dst, const Block& src, int axis, int side) {
   });
 }
 
-void apply_periodic(Block& b, int axis) {
-  copy_halo(b, b, axis, 0);
-  copy_halo(b, b, axis, 1);
-}
-
 }  // namespace rshc::mesh

@@ -9,11 +9,8 @@
 #include <cstdlib>
 #include <filesystem>
 
-#include "rshc/comm/communicator.hpp"
 #include "rshc/obs/journal.hpp"
 #include "rshc/obs/trace.hpp"
-#include "rshc/parallel/task_graph.hpp"
-#include "rshc/parallel/thread_pool.hpp"
 
 namespace rshc::obs::telemetry {
 
@@ -73,24 +70,6 @@ SamplerOptions sampler_options_from_env() {
   return opt;
 }
 
-WatchdogPolicy parse_watchdog_policy(std::string_view s) {
-  if (s.empty() || s == "0" || s == "off" || s == "OFF" || s == "false") {
-    return WatchdogPolicy::kOff;
-  }
-  if (s == "fatal" || s == "FATAL") return WatchdogPolicy::kFatal;
-  return WatchdogPolicy::kWarn;
-}
-
-WatchdogOptions watchdog_options_from_env() {
-  WatchdogOptions opt;
-  const char* v = std::getenv("RSHC_WATCHDOG");
-  opt.policy =
-      v == nullptr ? WatchdogPolicy::kOff : parse_watchdog_policy(v);
-  opt.timeout = std::chrono::milliseconds(std::max(
-      1, env_int("RSHC_WATCHDOG_TIMEOUT_MS", kDefaultWatchdogTimeoutMs)));
-  return opt;
-}
-
 void publish_heartbeat(std::int64_t step, double t, double dt,
                        double zones_per_sec) noexcept {
   if (!enabled()) return;
@@ -121,13 +100,13 @@ void publish_heartbeat(std::int64_t step, double t, double dt,
     reg->gauge("solver.hb.halo_bytes").set(hb.halo_bytes);
     reg->gauge("solver.hb.h2d_bytes").set(hb.h2d_bytes);
     reg->gauge("solver.hb.d2h_bytes").set(hb.d2h_bytes);
-    // The process-wide heartbeat view and the watchdog progress ticker
-    // belong to unscoped (whole-process) solvers only. A thread under a
-    // ScopedRegistry is one job of a multi-job process (simulation
-    // service): letting it tick the global watchdog would mask another
-    // job's stall, and letting it overwrite last_heartbeat() would smear
-    // unrelated jobs' progress into one bogus stream. Per-job stall
-    // detection for scoped jobs lives in serve::SimulationService.
+    // The process-wide heartbeat view and the watchdog's process-source
+    // ticker belong to unscoped (whole-process) solvers only. A thread
+    // under a ScopedRegistry is one job of a multi-job process
+    // (simulation service): letting it tick the process source would mask
+    // another job's stall, and letting it overwrite last_heartbeat() would
+    // smear unrelated jobs' progress into one bogus stream. Each running
+    // service job is a watchdog source of its own (parallel/watchdog.hpp).
     if (scoped == nullptr) {
       {
         HbState& s = hb_state();
@@ -344,133 +323,6 @@ void Sampler::loop() {
     }
   } catch (...) {
   }
-}
-
-// --- Watchdog --------------------------------------------------------
-
-Watchdog::Watchdog(WatchdogOptions opt)
-    : opt_(opt),
-      // Warn-mode log output at most once per stall window (and never
-      // more often than once a second); the journal records every firing.
-      warn_limit_(std::chrono::milliseconds(
-          std::max<long long>(opt.timeout.count(), 1000))) {}
-
-Watchdog::~Watchdog() { stop(); }
-
-std::uint64_t Watchdog::progress_signal() noexcept {
-  return heartbeat_ticks() +
-         static_cast<std::uint64_t>(
-             parallel::introspect::graph_nodes_finished()) +
-         static_cast<std::uint64_t>(
-             parallel::introspect::pool_tasks_finished()) +
-         static_cast<std::uint64_t>(comm::introspect::messages_received());
-}
-
-std::int64_t Watchdog::pending_work() noexcept {
-  return parallel::introspect::pending_graph_nodes() +
-         comm::introspect::mailbox_depth();
-}
-
-std::int64_t Watchdog::stalls_detected() const noexcept {
-  return stalls_.load(std::memory_order_relaxed);
-}
-
-void Watchdog::start() {
-  if (opt_.policy == WatchdogPolicy::kOff || thread_.joinable()) return;
-  {
-    LockGuard lock(mutex_);
-    stop_requested_ = false;
-  }
-  thread_ = std::thread([this] { loop(); });
-}
-
-void Watchdog::stop() noexcept {
-  // noexcept: shutdown path (same policy as Sampler::stop).
-  try {
-    if (!thread_.joinable()) return;
-    {
-      LockGuard lock(mutex_);
-      stop_requested_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  } catch (...) {
-  }
-}
-
-void Watchdog::loop() {
-  // Thread entry: swallow rather than terminate on a diagnostic failure.
-  try {
-    const auto poll =
-        opt_.poll.count() > 0
-            ? opt_.poll
-            : std::max(std::chrono::milliseconds(10), opt_.timeout / 4);
-    std::uint64_t last_progress = progress_signal();
-    auto last_change = std::chrono::steady_clock::now();
-    for (;;) {
-      {
-        LockGuard lock(mutex_);
-        cv_.wait_for(lock.native_lock(), poll, [this] {
-          mutex_.assert_held();  // predicate runs under the wait's lock
-          return stop_requested_;
-        });
-        if (stop_requested_) return;
-      }
-      const std::uint64_t p = progress_signal();
-      const auto now = std::chrono::steady_clock::now();
-      if (p != last_progress) {
-        last_progress = p;
-        last_change = now;
-        continue;
-      }
-      if (pending_work() <= 0) {
-        // Nothing visibly pending: idle, not stalled.
-        last_change = now;
-        continue;
-      }
-      const auto idle = now - last_change;
-      if (idle >= opt_.timeout) {
-        fire(std::chrono::duration_cast<std::chrono::milliseconds>(idle)
-                 .count());
-        // Re-arm: the next firing needs another full quiet timeout.
-        last_change = now;
-      }
-    }
-  } catch (...) {
-  }
-}
-
-void Watchdog::fire(std::int64_t idle_ms) {
-  stalls_.fetch_add(1, std::memory_order_relaxed);
-  const Heartbeat hb = last_heartbeat();
-  const std::int64_t pending_nodes =
-      parallel::introspect::pending_graph_nodes();
-  const std::int64_t mailbox_depth = comm::introspect::mailbox_depth();
-  const std::int64_t pool_busy = parallel::introspect::pool_busy_workers();
-  journal::Journal::global().event(
-      "watchdog",
-      {{"idle_ms", idle_ms},
-       {"policy",
-        opt_.policy == WatchdogPolicy::kFatal ? "fatal" : "warn"},
-       {"pending_nodes", pending_nodes},
-       {"mailbox_depth", mailbox_depth},
-       {"pool_busy", pool_busy},
-       {"heartbeat_step", hb.step},
-       {"heartbeat_t", hb.t},
-       {"heartbeat_zones_per_sec", hb.zones_per_sec},
-       journal::Field::raw("registry",
-                           Registry::global().snapshot().to_json())});
-  if (opt_.policy == WatchdogPolicy::kFatal) {
-    log::error("rshc watchdog: no progress for ", idle_ms,
-               " ms with pending work (graph nodes ", pending_nodes,
-               ", mailbox depth ", mailbox_depth,
-               "); aborting (RSHC_WATCHDOG=fatal)");
-    std::abort();
-  }
-  log::warn_limited(warn_limit_, "rshc watchdog: no progress for ", idle_ms,
-                    " ms (pending graph nodes ", pending_nodes,
-                    ", mailbox depth ", mailbox_depth, ", busy workers ",
-                    pool_busy, ")");
 }
 
 }  // namespace rshc::obs::telemetry

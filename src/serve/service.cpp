@@ -3,16 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <utility>
 
 #include "rshc/common/error.hpp"
 #include "rshc/common/log.hpp"
 #include "rshc/obs/obs.hpp"
+#include "rshc/parallel/watchdog.hpp"
 #include "rshc/serve/scenario.hpp"
 
 #if RSHC_OBS_ENABLED
@@ -37,14 +38,6 @@ namespace {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-[[nodiscard]] long long env_ll(const char* name, long long fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(s, &end, 10);
-  return (end == s || *end != '\0') ? fallback : v;
 }
 
 [[nodiscard]] bool terminal(JobState s) {
@@ -92,25 +85,6 @@ std::string_view job_state_name(JobState s) {
   return "cancelled";
 }
 
-ServiceConfig service_config_from_env() {
-  ServiceConfig cfg;
-  cfg.workers = static_cast<unsigned>(std::max(
-      1LL, env_ll("RSHC_SERVE_WORKERS", static_cast<long long>(cfg.workers))));
-  cfg.queue_capacity = static_cast<std::size_t>(
-      std::max(1LL, env_ll("RSHC_SERVE_QUEUE_CAP",
-                           static_cast<long long>(cfg.queue_capacity))));
-  cfg.zone_budget = std::max(1LL, env_ll("RSHC_SERVE_ZONE_BUDGET",
-                                         cfg.zone_budget));
-  cfg.stall_timeout = std::chrono::milliseconds(
-      std::max(0LL, env_ll("RSHC_SERVE_STALL_MS",
-                           static_cast<long long>(cfg.stall_timeout.count()))));
-  if (const char* dir = std::getenv("RSHC_SERVE_CKPT_DIR");
-      dir != nullptr && *dir != '\0') {
-    cfg.checkpoint_dir = dir;
-  }
-  return cfg;
-}
-
 // All non-atomic mutable fields are guarded by SimulationService::mutex_
 // (stated here once; Job is private to the service and never escapes it).
 struct SimulationService::Job {
@@ -122,9 +96,7 @@ struct SimulationService::Job {
   JobState state = JobState::kQueued;
   int preempts = 0;
   int resumes = 0;
-  int stalls = 0;
   bool has_checkpoint = false;  ///< eviction checkpoint exists on disk
-  bool stall_fired = false;     ///< one-shot latch per stall episode
   std::int64_t seq = 0;         ///< FIFO order within a priority class
   std::int64_t submit_ns = 0;
   double latency_ms = -1.0;
@@ -137,9 +109,11 @@ struct SimulationService::Job {
   // relaxed: set by submit()/preempt(), polled by the runner at step
   // boundaries; a one-step delay in visibility is acceptable.
   std::atomic<bool> preempt_requested{false};
-  // relaxed: steady-clock stamp of the last completed step, read by the
-  // stall monitor; staleness of one poll interval is inherent anyway.
-  std::atomic<std::int64_t> last_progress_ns{0};
+  // relaxed: bumped by the watchdog thread's stall callback, read by
+  // status()/wait(); a count, no ordering needed.
+  std::atomic<int> stalls{0};
+  /// Watches this job while it runs (watchdog source: steps_done).
+  std::optional<parallel::StallWatch> watch;
 
 #if RSHC_OBS_ENABLED
   /// Per-job metrics registry, installed thread-locally while the job's
@@ -157,22 +131,11 @@ SimulationService::SimulationService(ServiceConfig cfg) : cfg_(std::move(cfg)) {
   for (unsigned i = 0; i < cfg_.workers; ++i) {
     pool_->enqueue([this] { worker_loop(); });
   }
-  if (cfg_.stall_timeout.count() > 0) {
-    monitor_ = std::thread([this] { monitor_loop(); });
-  }
 }
 
 SimulationService::~SimulationService() {
   shutdown();
   pool_.reset();  // joins workers; running jobs drain first
-  if (monitor_.joinable()) {
-    {
-      LockGuard lock(monitor_mutex_);
-      monitor_stop_ = true;
-    }
-    monitor_cv_.notify_all();
-    monitor_.join();
-  }
 }
 
 Admission SimulationService::submit(const JobSpec& spec) {
@@ -225,7 +188,6 @@ Admission SimulationService::submit(const JobSpec& spec) {
       job->ckpt_path =
           cfg_.checkpoint_dir + "/job_" + std::to_string(id) + ".ckpt";
       job->submit_ns = steady_now_ns();
-      job->last_progress_ns.store(job->submit_ns, std::memory_order_relaxed);
       job->seq = next_seq_++;
       jobs_.emplace(id, job);
       queue_.push_back(job);
@@ -298,8 +260,14 @@ void SimulationService::worker_loop() {
       job = *best;
       queue_.erase(best);
       job->state = JobState::kRunning;
-      job->stall_fired = false;
-      job->last_progress_ns.store(steady_now_ns(), std::memory_order_relaxed);
+      Job* j = job.get();
+      job->watch.emplace(parallel::StallSource{
+          [j] {
+            return static_cast<std::uint64_t>(
+                j->steps_done.load(std::memory_order_relaxed));
+          },
+          {},
+          [this, j](std::int64_t idle_ms) { on_job_stall(*j, idle_ms); }});
       ++running_;
     }
     run_job(job);
@@ -355,8 +323,6 @@ void SimulationService::run_job(const JobPtr& job) {
         }
         engine->step();
         job->steps_done.fetch_add(1, std::memory_order_relaxed);
-        job->last_progress_ns.store(steady_now_ns(),
-                                    std::memory_order_relaxed);
       }
       if (!preempt_now) {
         if (job->spec.validate) {
@@ -378,6 +344,7 @@ void SimulationService::run_job(const JobPtr& job) {
       LockGuard lock(mutex_);
       job->preempt_requested.store(false, std::memory_order_relaxed);
       job->has_checkpoint = true;
+      job->watch.reset();
       job->state = JobState::kQueued;
       job->seq = next_seq_++;  // back of its priority class
       ++job->preempts;
@@ -398,6 +365,7 @@ void SimulationService::run_job(const JobPtr& job) {
   {
     LockGuard lock(mutex_);
     --running_;
+    job->watch.reset();
     job->l1_error = l1;
     latency_ms =
         static_cast<double>(steady_now_ns() - job->submit_ns) / 1.0e6;
@@ -427,59 +395,17 @@ void SimulationService::run_job(const JobPtr& job) {
   done_cv_.notify_all();
 }
 
-void SimulationService::monitor_loop() {
-  const std::int64_t timeout_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(cfg_.stall_timeout)
-          .count();
-  const auto poll = std::max(std::chrono::milliseconds(10),
-                             cfg_.stall_timeout / 4);
-  for (;;) {
-    {
-      LockGuard lock(monitor_mutex_);
-      const bool stop =
-          monitor_cv_.wait_for(lock.native_lock(), poll, [&] {
-            monitor_mutex_.assert_held();
-            return monitor_stop_;
-          });
-      if (stop) return;
-    }
-    struct Fired {
-      JobId id = kInvalidJob;
-      std::string name;
-      double idle_ms = 0.0;
-    };
-    std::vector<Fired> fired;
-    const std::int64_t now = steady_now_ns();
-    {
-      LockGuard lock(mutex_);
-      for (auto& [id, job] : jobs_) {
-        // Only running jobs are eligible: a queued job is idle by design
-        // and must neither fire a stall nor latch stall_fired in a way
-        // that would mask a later real stall.
-        if (job->state != JobState::kRunning) continue;
-        const std::int64_t idle =
-            now - job->last_progress_ns.load(std::memory_order_relaxed);
-        if (idle < timeout_ns) {
-          job->stall_fired = false;  // progress resumed; re-arm
-          continue;
-        }
-        if (job->stall_fired) continue;  // one warning per episode
-        job->stall_fired = true;
-        ++job->stalls;
-        ++stalled_;
-        fired.push_back(
-            {id, job->spec.name, static_cast<double>(idle) / 1.0e6});
-      }
-    }
-    for (const auto& f : fired) {
-      RSHC_SERVE_JOURNAL("job_stall", {Field("job", f.id),
-                                       Field("name", f.name),
-                                       Field("idle_ms", f.idle_ms)});
-      static log::RateLimit limit(std::chrono::milliseconds(1000));
-      log::warn_limited(limit, "serve: job ", f.id, " (", f.name,
-                        ") made no step progress for ", f.idle_ms, " ms");
-    }
-  }
+void SimulationService::on_job_stall(Job& job, std::int64_t idle_ms) {
+  // No service lock: the exit path unregisters the job under mutex_ and
+  // waits for this callback to return.
+  job.stalls.fetch_add(1, std::memory_order_relaxed);
+  stalled_.fetch_add(1, std::memory_order_relaxed);
+  RSHC_SERVE_JOURNAL("job_stall", {Field("job", job.id),
+                                   Field("name", job.spec.name),
+                                   Field("idle_ms", idle_ms)});
+  static log::RateLimit limit(std::chrono::milliseconds(1000));
+  log::warn_limited(limit, "serve: job ", job.id, " (", job.spec.name,
+                    ") made no step progress for ", idle_ms, " ms");
 }
 
 JobStatus SimulationService::wait(JobId id) {
@@ -501,7 +427,7 @@ JobStatus SimulationService::wait(JobId id) {
   st.steps_total = job->spec.steps;
   st.preempts = job->preempts;
   st.resumes = job->resumes;
-  st.stalls = job->stalls;
+  st.stalls = job->stalls.load(std::memory_order_relaxed);
   st.latency_ms = job->latency_ms;
   st.l1_error = job->l1_error;
   st.message = job->message;
@@ -530,7 +456,7 @@ std::optional<JobStatus> SimulationService::status(JobId id) const {
   st.steps_total = job.spec.steps;
   st.preempts = job.preempts;
   st.resumes = job.resumes;
-  st.stalls = job.stalls;
+  st.stalls = job.stalls.load(std::memory_order_relaxed);
   st.latency_ms = job.latency_ms;
   st.l1_error = job.l1_error;
   st.message = job.message;
@@ -563,7 +489,7 @@ ServiceStats SimulationService::stats() const {
   s.cancelled = cancelled_;
   s.preempted = preempted_;
   s.resumed = resumed_;
-  s.stalled = stalled_;
+  s.stalled = stalled_.load(std::memory_order_relaxed);
   s.zones_admitted = zones_admitted_;
   s.queued = static_cast<int>(queue_.size());
   s.running = running_;

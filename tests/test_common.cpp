@@ -157,42 +157,11 @@ TEST(Table, RejectsBadShapes) {
   EXPECT_THROW((void)t.cell(0, 0), Error);
 }
 
-TEST(Timer, AccumulatesMonotonically) {
+TEST(Timer, WallTimerAdvances) {
   WallTimer w;
-  AccumTimer acc;
-  acc.start();
   volatile double x = 0.0;
   for (int i = 0; i < 100000; ++i) x = x + 1.0;
-  acc.stop();
   EXPECT_GT(w.seconds(), 0.0);
-  EXPECT_GT(acc.seconds(), 0.0);
-  const double before = acc.seconds();
-  acc.start();
-  acc.stop();
-  EXPECT_GE(acc.seconds(), before);
-  acc.clear();
-  EXPECT_EQ(acc.seconds(), 0.0);
-}
-
-TEST(Timer, AccumMisusePolicy) {
-#ifndef NDEBUG
-  // Debug builds: unpaired start/stop is an invariant violation.
-  AccumTimer acc;
-  EXPECT_THROW(acc.stop(), Error);  // stop without start
-  acc.start();
-  EXPECT_THROW(acc.start(), Error);  // start while running
-  acc.stop();  // proper pairing still works afterwards
-  EXPECT_GE(acc.seconds(), 0.0);
-#else
-  // NDEBUG builds: misuse is ignored and accumulates nothing.
-  AccumTimer acc;
-  acc.stop();
-  EXPECT_EQ(acc.seconds(), 0.0);
-  acc.start();
-  acc.start();
-  acc.stop();
-  EXPECT_GE(acc.seconds(), 0.0);
-#endif
 }
 
 }  // namespace

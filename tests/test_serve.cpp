@@ -1,7 +1,7 @@
 // Simulation service: admission control, priority preemption with bitwise
 // warm resume (against the uninterrupted run and the per-pencil oracle),
 // the shared exact-Riemann reference cache, per-job metric isolation,
-// per-job stall monitoring, and the hardened checkpoint reader it all
+// running jobs as stall-watchdog sources, and the hardened checkpoint reader it all
 // leans on.
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 
 #include "rshc/common/error.hpp"
 #include "rshc/io/checkpoint.hpp"
+#include "rshc/parallel/watchdog.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/serve/riemann_cache.hpp"
 #include "rshc/serve/scenario.hpp"
@@ -402,7 +403,8 @@ TEST(ServeValidation, ValidationJobsShareTheExactReference) {
 TEST(ServeStallMonitor, FlagsRunningJobButNotQueuedOne) {
   auto cfg = test_config("stall");
   cfg.workers = 1;
-  cfg.stall_timeout = 60ms;
+  parallel::Watchdog dog({parallel::WatchdogPolicy::kWarn, 60ms});
+  dog.start();
   serve::SimulationService svc(cfg);
 
   serve::JobSpec crawler;
@@ -424,7 +426,7 @@ TEST(ServeStallMonitor, FlagsRunningJobButNotQueuedOne) {
   const auto queued_st = svc.wait(queued.id);
   EXPECT_EQ(slow_st.state, serve::JobState::kCompleted);
   EXPECT_EQ(queued_st.state, serve::JobState::kCompleted);
-  // The crawling job trips the per-job monitor; the job that spent the
+  // The crawling job trips the watchdog; the job that spent the
   // same wall time *queued* must not (idle-in-queue is not a stall).
   EXPECT_GE(slow_st.stalls, 1);
   EXPECT_EQ(queued_st.stalls, 0);

@@ -25,6 +25,7 @@
 #include "rshc/obs/telemetry.hpp"
 #include "rshc/parallel/task_graph.hpp"
 #include "rshc/parallel/thread_pool.hpp"
+#include "rshc/parallel/watchdog.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/distributed.hpp"
 #include "rshc/solver/fv_solver.hpp"
@@ -38,9 +39,9 @@ using namespace rshc;
 using namespace std::chrono_literals;
 using obs::telemetry::Sampler;
 using obs::telemetry::SamplerOptions;
-using obs::telemetry::Watchdog;
-using obs::telemetry::WatchdogOptions;
-using obs::telemetry::WatchdogPolicy;
+using parallel::Watchdog;
+using parallel::WatchdogOptions;
+using parallel::WatchdogPolicy;
 using testsupport::JsonParser;
 using testsupport::JsonValue;
 
@@ -380,7 +381,7 @@ TEST_F(Telemetry, JournalCarriesProvenanceAndCheckFailures) {
 }
 
 TEST_F(Telemetry, EnvParsingCoversPoliciesAndDefaults) {
-  using obs::telemetry::parse_watchdog_policy;
+  using parallel::parse_watchdog_policy;
   EXPECT_EQ(parse_watchdog_policy("off"), WatchdogPolicy::kOff);
   EXPECT_EQ(parse_watchdog_policy("0"), WatchdogPolicy::kOff);
   EXPECT_EQ(parse_watchdog_policy(""), WatchdogPolicy::kOff);
@@ -405,11 +406,11 @@ TEST_F(Telemetry, EnvParsingCoversPoliciesAndDefaults) {
   ::unsetenv("RSHC_TELEMETRY_INTERVAL_MS");
 
   ::unsetenv("RSHC_WATCHDOG");
-  EXPECT_EQ(obs::telemetry::watchdog_options_from_env().policy,
+  EXPECT_EQ(parallel::watchdog_options_from_env().policy,
             WatchdogPolicy::kOff);
   ::setenv("RSHC_WATCHDOG", "warn", 1);
   ::setenv("RSHC_WATCHDOG_TIMEOUT_MS", "123", 1);
-  const WatchdogOptions wopt = obs::telemetry::watchdog_options_from_env();
+  const WatchdogOptions wopt = parallel::watchdog_options_from_env();
   EXPECT_EQ(wopt.policy, WatchdogPolicy::kWarn);
   EXPECT_EQ(wopt.timeout.count(), 123);
   ::unsetenv("RSHC_WATCHDOG");
@@ -429,10 +430,6 @@ TEST(Telemetry, DisabledBuildStubsAreInert) {
   sampler.sample_now();
   sampler.stop();
   EXPECT_EQ(sampler.samples_taken(), 0);
-  rshc::obs::telemetry::Watchdog dog;
-  dog.start();
-  dog.stop();
-  EXPECT_EQ(dog.stalls_detected(), 0);
   rshc::obs::journal::run_start("noop");
   EXPECT_EQ(rshc::obs::journal::Journal::global().events_written(), 0);
 }
@@ -440,3 +437,48 @@ TEST(Telemetry, DisabledBuildStubsAreInert) {
 }  // namespace
 
 #endif  // RSHC_OBS_ENABLED
+
+// The stall rule needs no obs instrumentation, so it is tested in every
+// build: a stall fires once per episode however long it is held, and the
+// detector re-arms once progress moves.
+namespace {
+
+using namespace std::chrono_literals;
+
+// Hold one never-finishing task-graph node (pending work, no progress)
+// until `dog` has fired `fired_before + 1` stalls and `hold` more has
+// passed; returns the stall count seen just before releasing the node.
+std::int64_t hold_graph_stall(const rshc::parallel::Watchdog& dog,
+                              std::int64_t fired_before,
+                              std::chrono::milliseconds hold) {
+  rshc::device::Event release;
+  rshc::parallel::ThreadPool pool(1);
+  rshc::parallel::TaskGraph graph;
+  graph.add([&release] { release.wait(); });
+  std::thread runner([&graph, &pool] { graph.run(pool); });
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (dog.stalls_detected() <= fired_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  std::this_thread::sleep_for(hold);
+  const std::int64_t seen = dog.stalls_detected();
+  release.set();
+  runner.join();
+  return seen;
+}
+
+TEST(Watchdog, HeldStallFiresOncePerEpisodeAndRearms) {
+  constexpr auto kTimeout = 60ms;
+  rshc::parallel::Watchdog dog(
+      {rshc::parallel::WatchdogPolicy::kWarn, kTimeout});
+  dog.start();
+  // Held for 4 more timeouts after the first firing: still one stall.
+  EXPECT_EQ(hold_graph_stall(dog, 0, 4 * kTimeout), 1);
+  // The release finished a node (progress), so a new stall fires again.
+  EXPECT_EQ(hold_graph_stall(dog, 1, 4 * kTimeout), 2);
+  dog.stop();
+  EXPECT_EQ(dog.stalls_detected(), 2);
+}
+
+}  // namespace
