@@ -9,14 +9,17 @@
 // compute stream with device::Events, so one block's rhs/update kernels
 // run while the next block's halo upload is still in flight.
 //
+// There is no device step loop: FvSolver's step graph calls pull_rims
+// from its exchange nodes and advance from its compute nodes.
+//
 // The kernels launched here call the same compiled core::rhs_batched_range
-// / core::update_batched / core::max_wave_speed_batched instantiations as
-// the host pipeline (rhs_core.cpp, -ffp-contract=off recipe), so
-// HostPipeline::kDevice is bitwise identical to kBatchedSimd by
-// construction — tests/test_device_pipeline.cpp pins both against the
-// per-pencil oracle in tests/support/pencil_reference.hpp.
+// / core::update_batched / core::post_step_slabs /
+// core::max_wave_speed_batched instantiations as the host pipeline
+// (rhs_core.cpp, -ffp-contract=off recipe), so HostPipeline::kDevice is
+// bitwise identical to kBatchedSimd by construction —
+// tests/test_device_pipeline.cpp pins both against the per-pencil oracle
+// in tests/support/pencil_reference.hpp.
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "rshc/mesh/grid.hpp"
 #include "rshc/recon/reconstruct.hpp"
 #include "rshc/solver/physics.hpp"
+#include "rshc/time/integrator.hpp"
 
 namespace rshc::solver {
 
@@ -48,25 +52,20 @@ class DeviceExec {
   /// when already resident — steady-state steps move only halos.
   void ensure_resident();
 
-  /// Device-side u0 = cons for every block (RK reference state).
-  void save_state();
+  /// Exchange node E(b, s): with `save_u0` (stage 0) enqueue u0 = cons;
+  /// then pack block b's interior rims on the compute stream, download
+  /// them on the transfer stream (event-fenced), wait (device.rim_wait)
+  /// and unpack them into the host mirror.
+  void pull_rims(int b, bool save_u0);
 
-  /// One RK stage (u = (ca*u0 + cb*u) + cdt*du, then con2prim):
-  ///   1. pack interior rims on the compute stream, download them on the
-  ///      transfer stream (event-fenced), unpack into the host mirror;
-  ///   2. run `exchange` per block (FvSolver's exchange_block, including
-  ///      any custom ghost filler) against the host mirror;
-  ///   3. pack ghost shells, upload on the transfer stream, and enqueue
-  ///      unpack + rhs + update kernels that wait on the upload event —
-  ///      block b computes while block b+1's upload is in flight.
-  /// `stats[b]` receives the con2prim counters (read only after
-  /// synchronize()).
-  void stage(double ca, double cb, double cdt,
-             const std::function<void(int)>& exchange,
-             std::vector<C2PStats>& stats);
-
-  /// Device-side per-step hook (GLM psi damping; no-op for SRHD).
-  void post_step(double dt, double dx_min);
+  /// Compute node K(b, s), once the host filled b's ghosts in the mirror:
+  /// upload the ghost shells on the transfer stream, then enqueue unpack,
+  /// rhs and update (the RK stage with `coeffs`, then con2prim) fenced on
+  /// that upload, so block b computes while block b+1 still exchanges.
+  /// `damp` (last stage) also enqueues the GLM damping. `stats` receives
+  /// the con2prim counters (read only after synchronize()).
+  void advance(int b, time::StageCoeffs coeffs, double dt, bool damp,
+               C2PStats& stats);
 
   /// Interior max signal speed from the device-resident state (the CFL
   /// scan as a device kernel + one scalar-sized download per block).

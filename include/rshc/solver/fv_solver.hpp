@@ -5,7 +5,7 @@
 // Runge-Kutta integrator, and recover primitives. Parametrized over a
 // Physics trait (SrhdPhysics / SrmhdPhysics).
 //
-// One host step schedule, the futurized dataflow graph: per-(block, stage)
+// One step schedule, the futurized dataflow graph: per-(block, stage)
 // exchange and compute tasks linked only by true data dependencies.
 //  - step(dt)                      runs the one-step graph inline on the
 //    calling thread, in creation order
@@ -14,11 +14,16 @@
 //    return is the only barrier (F3/F4/F6a sweep its worker count)
 // Both execute the same node bodies on the same data, so they agree bit
 // for bit with each other and with the per-pencil test oracle.
-// HostPipeline::kDevice steps go to the simulated accelerator instead.
+// HostPipeline::kDevice steps run the same graph inline with device node
+// forms: E pulls the block's rims into the host mirror, K fills its ghosts
+// there and enqueues the upload and kernels (DeviceExec); one synchronize
+// ends the step.
 //
 // Per-step dependency structure (E = exchange+BC, K = rhs+update+c2p):
 //   E(b,s) <- K(b,s-1), K(nbr,s-1)   (needs stage s-1 prims of b and nbrs)
-//   K(b,s) <- E(b,s), E(nbr,s)       (E(nbr,s) read b's prims: anti-dep)
+//   K(b,s) <- E(b,s), E(nbr,s)       (E(nbr,s) read b's prims: anti-dep;
+//                                     on the device, E(nbr,s) lands the
+//                                     rims K(b,s)'s ghost fill reads)
 
 #include <array>
 #include <cmath>
@@ -101,7 +106,7 @@ class FvSolver {
   [[nodiscard]] double compute_dt() const;
 
   /// One time step: the one-step graph run inline on the calling thread
-  /// (HostPipeline::kDevice: the device pipeline).
+  /// (HostPipeline::kDevice: its device node forms, then one synchronize).
   void step(double dt);
 
   /// `nsteps` fixed-dt steps as one dependency graph run on `pool` (no
@@ -214,7 +219,6 @@ class FvSolver {
   /// RK stage combination + con2prim over the block interior.
   void update_block(int b, time::StageCoeffs coeffs, double dt);
   void merge_block_stats();
-  void step_device(double dt);
   parallel::TaskGraph& step_graph(int nsteps);
 
   mesh::Grid grid_;
@@ -241,11 +245,13 @@ class FvSolver {
   // device arenas (see device_exec.hpp).
   std::unique_ptr<DeviceExec<Physics>> device_;
 
-  // The cached step graph, keyed by step count (and overlap mode — the
-  // node bodies differ when the exchange is futurized).
+  // The cached step graph, keyed by step count, overlap mode and pipeline
+  // (the node bodies differ when the exchange is futurized or the nodes
+  // drive the device).
   std::unique_ptr<parallel::TaskGraph> graph_;
   int graph_steps_ = 0;
   bool graph_overlap_ = false;
+  bool graph_device_ = false;
 };
 
 using SrhdSolver = FvSolver<SrhdPhysics>;

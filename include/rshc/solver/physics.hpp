@@ -3,8 +3,8 @@
 // a concrete system of equations. Two instantiations ship: SrhdPhysics and
 // SrmhdPhysics. A trait supplies variable counts, state types, load/store
 // between FieldArray SoA storage and state structs, the physical maps
-// (prim<->cons, interface flux, signal speeds) and the per-step hook used
-// by GLM damping.
+// (prim<->cons, interface flux, signal speeds). The per-step GLM damping
+// is core::post_step_slabs (rhs_core.hpp).
 
 #include <cstddef>
 #include <vector>
@@ -134,9 +134,6 @@ struct SrhdPhysics {
   }
   /// Sanitize reconstructed face states (positivity of rho, p; |v| < 1).
   static void limit_face_state(Prim& w, const Context& ctx);
-  /// Per-step hook (psi damping for MHD); no-op here.
-  static void post_step(mesh::FieldArray&, mesh::FieldArray&, const Context&,
-                        double /*dt*/, double /*dx_min*/) {}
 };
 
 struct SrmhdPhysics {
@@ -259,9 +256,6 @@ struct SrmhdPhysics {
     return {srmhd::kVx + axis, srmhd::kBx + axis};
   }
   static void limit_face_state(Prim& w, const Context& ctx);
-  /// GLM psi damping, applied to both cons and prim psi slabs.
-  static void post_step(mesh::FieldArray& cons, mesh::FieldArray& prim,
-                        const Context& ctx, double dt, double dx_min);
 };
 
 /// y[i] = (a*x[i] + b*y[i]) + c*z[i] over n entries — the RK stage

@@ -128,8 +128,10 @@ template <typename Physics>
     const BlockShape& sh, const typename Physics::Context& ctx,
     const double* w, std::vector<double>& speed);
 
-/// Slab-pointer variant of Physics::post_step over whole (ghosted) arrays:
-/// GLM psi damping for SRMHD, no-op for SRHD.
+/// The per-step hook over whole (ghosted) arrays, the one GLM damping
+/// body: the last stage's compute node applies it on the host and the
+/// device alike. Damps the cons and prim psi slabs for SRMHD; no-op for
+/// SRHD.
 template <typename Physics>
 void post_step_slabs(const BlockShape& sh,
                      const typename Physics::Context& ctx, double* u,

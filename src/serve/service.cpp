@@ -5,6 +5,7 @@
 #include <chrono>
 #include <exception>
 #include <filesystem>
+#include <initializer_list>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -28,7 +29,16 @@ namespace {
 using rshc::obs::journal::Field;
 }  // namespace
 #else
-#define RSHC_SERVE_JOURNAL(...) ((void)0)
+// The arguments sit in an unevaluated operand: they count as used, but
+// nothing runs and no journal symbol is referenced.
+namespace {
+struct Field {
+  template <typename T>
+  Field(const char*, const T&) {}
+  static int event(const char*, std::initializer_list<Field>);
+};
+}  // namespace
+#define RSHC_SERVE_JOURNAL(...) ((void)sizeof(Field::event(__VA_ARGS__)))
 #endif
 
 namespace rshc::serve {

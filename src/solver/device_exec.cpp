@@ -132,112 +132,89 @@ void DeviceExec<Physics>::ensure_resident() {
 }
 
 template <typename Physics>
-void DeviceExec<Physics>::save_state() {
-  for (auto& ap : arenas_) {
-    Arena* a = ap.get();
+void DeviceExec<Physics>::pull_rims(int b, bool save_u0) {
+  Arena* a = arenas_[static_cast<std::size_t>(b)].get();
+  if (save_u0) {
     dev_->launch(
-        [a] {
+        [a, b] {
+          RSHC_OBS_PHASE("solver.phase.other", "solver", b);
           const auto src = a->cons.device_view();
           auto dst = a->u0.device_view();
           std::copy(src.begin(), src.end(), dst.begin());
         },
         a->cells, compute_);
   }
-}
-
-template <typename Physics>
-void DeviceExec<Physics>::stage(double ca, double cb, double cdt,
-                                const std::function<void(int)>& exchange,
-                                std::vector<C2PStats>& stats) {
-  const std::size_t nb = arenas_.size();
-
-  // 1. Pack every block's interior rims on the compute stream (ordered
-  //    after the previous stage's update), then download the packed
-  //    staging buffer on the transfer stream, fenced on the pack.
-  std::vector<device::Event> down(nb);
-  for (std::size_t b = 0; b < nb; ++b) {
-    Arena* a = arenas_[b].get();
-    const device::Event packed = dev_->launch(
-        [a] {
-          const double* prim = a->prim.device_view().data();
-          double* stage = a->rim_stage.device_view().data();
-          for (std::size_t f = 0; f < a->rim.size(); ++f) {
-            mesh::pack_box(prim, Physics::kNumPrim, a->shape.total[2],
-                           a->shape.total[1], a->shape.total[0], a->rim[f],
-                           stage + a->rim_off[f]);
-          }
-        },
-        a->rim_len, compute_);
-    dev_->wait_event(transfer_, packed);
-    down[b] = dev_->download_async(a->rim_stage, a->host_rim, transfer_);
+  const device::Event packed = dev_->launch(
+      [a] {
+        const double* prim = a->prim.device_view().data();
+        double* stage = a->rim_stage.device_view().data();
+        for (std::size_t f = 0; f < a->rim.size(); ++f) {
+          mesh::pack_box(prim, Physics::kNumPrim, a->shape.total[2],
+                         a->shape.total[1], a->shape.total[0], a->rim[f],
+                         stage + a->rim_off[f]);
+        }
+      },
+      a->rim_len, compute_);
+  dev_->wait_event(transfer_, packed);
+  const device::Event down =
+      dev_->download_async(a->rim_stage, a->host_rim, transfer_);
+  {
+    RSHC_OBS_PHASE("device.rim_wait", "device", b);
+    down.wait();
   }
-
-  // 2. Unpack every rim into the host mirror before any ghost logic runs:
-  //    exchange_block reads *neighbour* rims (sibling halo copies), so all
-  //    rims must land first.
-  for (std::size_t b = 0; b < nb; ++b) {
-    down[b].wait();
-    Arena& a = *arenas_[b];
-    auto& w = (*blocks_)[b].prim();
-    for (std::size_t f = 0; f < a.rim.size(); ++f) {
-      w.unpack_box(a.rim[f], std::span<const double>(a.host_rim)
-                                 .subspan(a.rim_off[f], a.rim_face_len(f)));
-    }
-  }
-
-  // 3. Per block: host-side ghost fill, ghost upload on the transfer
-  //    stream, then the unpack/rhs/update kernel chain fenced on that
-  //    upload — block b's kernels run while block b+1 is still
-  //    exchanging and uploading.
-  for (std::size_t b = 0; b < nb; ++b) {
-    exchange(static_cast<int>(b));
-    Arena* a = arenas_[b].get();
-    const auto& w = (*blocks_)[b].prim();
-    for (std::size_t f = 0; f < a->ghost.size(); ++f) {
-      w.pack_box(a->ghost[f],
-                 std::span<double>(a->host_ghost)
-                     .subspan(a->ghost_off[f], a->ghost_face_len(f)));
-    }
-    const device::Event up =
-        dev_->upload_async(a->host_ghost, a->ghost_stage, transfer_);
-    dev_->wait_event(compute_, up);
-    dev_->launch(
-        [a] {
-          const double* stage = a->ghost_stage.device_view().data();
-          double* prim = a->prim.device_view().data();
-          for (std::size_t f = 0; f < a->ghost.size(); ++f) {
-            mesh::unpack_box(prim, Physics::kNumPrim, a->shape.total[2],
-                             a->shape.total[1], a->shape.total[0], a->ghost[f],
-                             stage + a->ghost_off[f]);
-          }
-        },
-        a->ghost_len, compute_);
-    dev_->launch(
-        [this, a, b] {
-          core::rhs_batched_range<Physics>(
-              a->shape, ctx_, recon_, a->prim.device_view().data(),
-              a->du.device_view().data(), a->scratch, static_cast<int>(b),
-              a->shape.begin, a->shape.end, /*zero_du=*/true);
-        },
-        a->cells, compute_);
-    dev_->launch(
-        [this, a, b, ca, cb, cdt, ps = &stats[b]] {
-          core::update_batched<Physics>(
-              a->shape, ctx_, ca, cb, cdt,
-              a->u0.device_view().data(), a->du.device_view().data(),
-              a->cons.device_view().data(), a->prim.device_view().data(), *ps,
-              static_cast<int>(b));
-        },
-        a->cells, compute_);
+  auto& w = (*blocks_)[static_cast<std::size_t>(b)].prim();
+  for (std::size_t f = 0; f < a->rim.size(); ++f) {
+    w.unpack_box(a->rim[f], std::span<const double>(a->host_rim)
+                                .subspan(a->rim_off[f], a->rim_face_len(f)));
   }
 }
 
 template <typename Physics>
-void DeviceExec<Physics>::post_step(double dt, double dx_min) {
-  for (auto& ap : arenas_) {
-    Arena* a = ap.get();
+void DeviceExec<Physics>::advance(int b, time::StageCoeffs coeffs, double dt,
+                                  bool damp, C2PStats& stats) {
+  Arena* a = arenas_[static_cast<std::size_t>(b)].get();
+  const auto& w = (*blocks_)[static_cast<std::size_t>(b)].prim();
+  for (std::size_t f = 0; f < a->ghost.size(); ++f) {
+    w.pack_box(a->ghost[f],
+               std::span<double>(a->host_ghost)
+                   .subspan(a->ghost_off[f], a->ghost_face_len(f)));
+  }
+  const device::Event up =
+      dev_->upload_async(a->host_ghost, a->ghost_stage, transfer_);
+  dev_->wait_event(compute_, up);
+  dev_->launch(
+      [a] {
+        const double* stage = a->ghost_stage.device_view().data();
+        double* prim = a->prim.device_view().data();
+        for (std::size_t f = 0; f < a->ghost.size(); ++f) {
+          mesh::unpack_box(prim, Physics::kNumPrim, a->shape.total[2],
+                           a->shape.total[1], a->shape.total[0], a->ghost[f],
+                           stage + a->ghost_off[f]);
+        }
+      },
+      a->ghost_len, compute_);
+  dev_->launch(
+      [this, a, b] {
+        RSHC_OBS_PHASE("solver.phase.rhs", "solver", b);
+        core::rhs_batched_range<Physics>(
+            a->shape, ctx_, recon_, a->prim.device_view().data(),
+            a->du.device_view().data(), a->scratch, b, a->shape.begin,
+            a->shape.end, /*zero_du=*/true);
+      },
+      a->cells, compute_);
+  dev_->launch(
+      [this, a, b, coeffs, cdt = coeffs.c * dt, ps = &stats] {
+        core::update_batched<Physics>(
+            a->shape, ctx_, coeffs.a, coeffs.b, cdt,
+            a->u0.device_view().data(), a->du.device_view().data(),
+            a->cons.device_view().data(), a->prim.device_view().data(), *ps,
+            b);
+      },
+      a->cells, compute_);
+  if (damp) {
     dev_->launch(
-        [this, a, dt, dx_min] {
+        [this, a, b, dt, dx_min = grid_->min_dx()] {
+          RSHC_OBS_PHASE("solver.phase.other", "solver", b);
           core::post_step_slabs<Physics>(
               a->shape, ctx_, a->cons.device_view().data(),
               a->prim.device_view().data(), dt, dx_min);

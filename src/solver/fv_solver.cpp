@@ -367,31 +367,6 @@ double FvSolver<Physics>::compute_dt() const {
   return opt_.cfl * grid_.min_dx() / vmax;
 }
 
-// Device-offload step: establish residency (full upload, first step only),
-// then per RK stage let DeviceExec pull rims down, run the host ghost
-// logic, push ghosts back up, and chain the rhs/update kernels — all
-// enqueued, overlapping transfer with compute. One synchronize at the end
-// of the step publishes the c2p stats.
-template <typename Physics>
-void FvSolver<Physics>::step_device(double dt) {
-  current_dt_ = dt;
-  if (!device_) {
-    device_ = std::make_unique<DeviceExec<Physics>>(
-        grid_, blocks_, opt_.physics, opt_.recon, opt_.accel);
-  }
-  device_->ensure_resident();
-  device_->save_state();
-  for (int s = 0; s < time::num_stages(opt_.integrator); ++s) {
-    const auto coeffs = time::stage_coeffs(opt_.integrator, s);
-    device_->stage(coeffs.a, coeffs.b, coeffs.c * dt,
-                   [this](int b) { exchange_block(b); }, block_stats_);
-  }
-  device_->post_step(dt, grid_.min_dx());
-  device_->synchronize();
-  merge_block_stats();
-  time_ += dt;
-}
-
 template <typename Physics>
 bool FvSolver<Physics>::device_resident() const {
   return device_ && device_->resident();
@@ -423,14 +398,19 @@ void FvSolver<Physics>::step(double dt) {
 #if RSHC_OBS_ENABLED
   const WallTimer hb_timer;
 #endif
-  if (opt_.pipeline == HostPipeline::kDevice) {
-    step_device(dt);
-  } else {
-    current_dt_ = dt;
-    step_graph(1).run();
-    merge_block_stats();
-    time_ += dt;
+  current_dt_ = dt;
+  const bool on_device = opt_.pipeline == HostPipeline::kDevice;
+  if (on_device) {
+    if (!device_) {
+      device_ = std::make_unique<DeviceExec<Physics>>(
+          grid_, blocks_, opt_.physics, opt_.recon, opt_.accel);
+    }
+    device_->ensure_resident();
   }
+  step_graph(1).run();
+  if (on_device) device_->synchronize();  // the nodes only enqueued kernels
+  merge_block_stats();
+  time_ += dt;
   ++steps_taken_;
 #if RSHC_OBS_ENABLED
   RSHC_OBS_HEARTBEAT(steps_taken_, time_, dt,
@@ -440,22 +420,27 @@ void FvSolver<Physics>::step(double dt) {
 #endif
 }
 
-// The one host step schedule: `nsteps` steps as a graph of per-(block,
-// stage) exchange (E) and compute (K) nodes. The first-stage E nodes save
-// the block's RK reference state and the last-stage K nodes apply
-// Physics::post_step, so nothing wraps the graph. step() runs it inline,
-// where creation order (every E node of a stage, then every K node) is the
-// execution order; run_steps_dataflow runs it on a pool. Built on first
-// use, never in the constructor.
+// The one step schedule: `nsteps` steps as a graph of per-(block, stage)
+// exchange (E) and compute (K) nodes. The first-stage E nodes save the
+// block's RK reference state and the last-stage K nodes apply the GLM
+// damping (core::post_step_slabs), so nothing wraps the graph. step() runs
+// it inline, where creation order (every E node of a stage, then every K
+// node) is the execution order; run_steps_dataflow runs it on a pool.
+// Built on first use, never in the constructor.
+// The device forms: E pulls b's rims into the host mirror, K fills b's
+// ghosts there (exchange_block reads the neighbours' rims, which the
+// K(b,s) <- E(nbr,s) edges land first) and enqueues the kernels.
 template <typename Physics>
 parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps) {
+  const bool device = opt_.pipeline == HostPipeline::kDevice;
   if (graph_ && graph_steps_ == nsteps &&
-      graph_overlap_ == overlap_active()) {
+      graph_overlap_ == overlap_active() && graph_device_ == device) {
     return *graph_;
   }
   graph_ = std::make_unique<parallel::TaskGraph>();
   graph_steps_ = nsteps;
   graph_overlap_ = overlap_active();
+  graph_device_ = device;
   const bool overlap = graph_overlap_;
 
   using NodeId = parallel::TaskGraph::NodeId;
@@ -495,7 +480,11 @@ parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps) {
           }
         }
         cur_e[static_cast<std::size_t>(b)] = graph_->add(
-            [this, b, step_start, overlap] {
+            [this, b, step_start, overlap, device] {
+              if (device) {
+                device_->pull_rims(b, /*save_u0=*/step_start);
+                return;
+              }
               if (step_start) {
                 // Per-block save of the RK reference state (no barrier
                 // before the step either).
@@ -525,7 +514,13 @@ parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps) {
           deps.push_back(cur_e[static_cast<std::size_t>(nbr)]);
         }
         cur_k[static_cast<std::size_t>(b)] = graph_->add(
-            [this, b, coeffs, step_end, overlap] {
+            [this, b, coeffs, step_end, overlap, device] {
+              if (device) {
+                exchange_block(b);
+                device_->advance(b, coeffs, current_dt_, /*damp=*/step_end,
+                                 block_stats_[static_cast<std::size_t>(b)]);
+                return;
+              }
               if (overlap) {
                 compute_rhs_overlapped(b);
               } else {
@@ -535,8 +530,10 @@ parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps) {
               if (step_end) {
                 RSHC_OBS_PHASE("solver.phase.other", "solver", b);
                 auto& blk = blocks_[static_cast<std::size_t>(b)];
-                Physics::post_step(blk.cons(), blk.prim(), opt_.physics,
-                                   current_dt_, grid_.min_dx());
+                core::post_step_slabs<Physics>(
+                    core::shape_of(blk, grid_), opt_.physics,
+                    blk.cons().flat().data(), blk.prim().flat().data(),
+                    current_dt_, grid_.min_dx());
               }
             },
             deps);

@@ -94,12 +94,4 @@ void SrmhdPhysics::max_speed_n(bool simd, std::size_t n, const double* const* w,
       w[srmhd::kPsi], speed, ctx.eos.gamma(), ndim);
 }
 
-void SrmhdPhysics::post_step(mesh::FieldArray& cons, mesh::FieldArray& prim,
-                             const Context& ctx, double dt, double dx_min) {
-  const double factor = srmhd::glm_damping_factor(ctx.glm, dt, dx_min);
-  if (factor >= 1.0) return;
-  for (double& psi : cons.var(srmhd::kPsi)) psi *= factor;
-  for (double& psi : prim.var(srmhd::kPsi)) psi *= factor;
-}
-
 }  // namespace rshc::solver

@@ -299,8 +299,7 @@ template <typename Physics>
 void post_step_slabs(const BlockShape&, const typename Physics::Context&,
                      double*, double*, double, double) {}
 
-// GLM psi damping over the whole ghosted psi slabs — same `psi *= factor`
-// arithmetic as SrmhdPhysics::post_step on FieldArrays.
+// GLM psi damping over the whole ghosted psi slabs.
 template <>
 void post_step_slabs<SrmhdPhysics>(const BlockShape& sh,
                                    const SrmhdPhysics::Context& ctx, double* u,

@@ -7,9 +7,11 @@
 // across every reconstruction scheme, Riemann solver, physics system, and
 // dimensionality, plus the restricted-block constructor, multi-step
 // residency (only halo-sized payloads may cross the boundary after step
-// 0, asserted via the obs byte counters), and mid-run pipeline switching.
-// It also stages a batched con2prim through every device backend and checks
-// the accelerator model charges the device pipeline's transfers.
+// 0, asserted via the obs byte counters), mid-run pipeline switching, the
+// 2D multi-block cases under the default (latency-charging) accelerator
+// model, and run_steps_dataflow's refusal of a device solver. It also
+// stages a batched con2prim through every device backend and checks the
+// accelerator model charges the device pipeline's transfers.
 
 #include <gtest/gtest.h>
 
@@ -19,12 +21,15 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "rshc/common/error.hpp"
 #include "rshc/common/timer.hpp"
 #include "rshc/mesh/halo.hpp"
 #include "rshc/obs/obs.hpp"
+#include "rshc/parallel/thread_pool.hpp"
 #include "rshc/problems/problems.hpp"
 #include "rshc/solver/fv_solver.hpp"
 #include "rshc/srhd/kernels.hpp"
@@ -55,18 +60,19 @@ int count_bit_diffs(std::span<const double> a, std::span<const double> b) {
 }
 
 /// Run `nsteps` fixed-dt steps through the pencil oracle and under the
-/// device pipeline, then require bitwise-equal cons and prim fields on
-/// every block, identical dt from both the host and the device-resident
-/// CFL scan, and identical con2prim health counters.
+/// device pipeline on accelerator model `accel`, then require bitwise-equal
+/// cons and prim fields on every block, identical dt from both the host
+/// and the device-resident CFL scan, and identical con2prim health
+/// counters.
 template <typename Solver, typename Ic>
 void expect_device_matches_pencil(const mesh::Grid& g,
                                   typename Solver::Options opt, const Ic& ic,
-                                  int nsteps) {
+                                  int nsteps, device::AccelModel accel) {
   Solver ref(g, opt);
   ref.initialize(ic);
   testsupport::PencilReference oracle(ref);
   opt.pipeline = solver::HostPipeline::kDevice;
-  opt.accel = zero_cost();
+  opt.accel = accel;
   Solver s(g, opt);
   s.initialize(ic);
 
@@ -166,7 +172,7 @@ TEST_P(DevicePipelineSrhd, DeviceMatchesPencilBitwise) {
   opt.physics.riemann = rs;
   opt.blocks = c.blocks;
   expect_device_matches_pencil<solver::SrhdSolver>(c.grid, opt, srhd_ic,
-                                                   c.nsteps);
+                                                   c.nsteps, zero_cost());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -193,7 +199,7 @@ TEST_P(DevicePipelineSrmhd, DeviceMatchesPencilBitwise) {
                  mesh::BcType::kPeriodic};
   opt.blocks = c.blocks;
   expect_device_matches_pencil<solver::SrmhdSolver>(c.grid, opt, srmhd_ic,
-                                                    c.nsteps);
+                                                    c.nsteps, zero_cost());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -203,6 +209,62 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(recon::Method::kPCM, recon::Method::kPLMMinmod,
                           recon::Method::kPLMMC, recon::Method::kPLMVanLeer,
                           recon::Method::kPPM, recon::Method::kWENO5)));
+
+// Every other memcmp here runs the zero-cost model, where kernels often
+// finish before the host looks and a missing stream fence can hide. The
+// default PCIe-like model charges every transfer and launch, so a kernel
+// that read a ghost shell before its upload landed, or a ghost fill that
+// read a rim before its download did, shows up as a bit difference.
+TEST(DevicePipeline, ModeledLatencySrhdMatchesPencilBitwise) {
+  const Case c = make_case(2);
+  solver::SrhdSolver::Options opt;
+  opt.recon = recon::Method::kPLMMC;
+  opt.cfl = 0.3;
+  opt.bc.type = {mesh::BcType::kOutflow, mesh::BcType::kPeriodic,
+                 mesh::BcType::kPeriodic};
+  opt.physics.riemann = riemann::Solver::kHLLC;
+  opt.blocks = c.blocks;
+  expect_device_matches_pencil<solver::SrhdSolver>(
+      c.grid, opt, srhd_ic, c.nsteps, device::AccelModel{});
+}
+
+TEST(DevicePipeline, ModeledLatencySrmhdMatchesPencilBitwise) {
+  const Case c = make_case(2);
+  solver::SrmhdSolver::Options opt;
+  opt.recon = recon::Method::kPLMMC;
+  opt.cfl = 0.25;
+  opt.bc.type = {mesh::BcType::kOutflow, mesh::BcType::kPeriodic,
+                 mesh::BcType::kPeriodic};
+  opt.blocks = c.blocks;
+  expect_device_matches_pencil<solver::SrmhdSolver>(
+      c.grid, opt, srmhd_ic, c.nsteps, device::AccelModel{});
+}
+
+// run_steps_dataflow drives the graph from a worker pool, which cannot
+// drive the device streams: on a device solver it must refuse with a
+// reason, before it touches the state.
+TEST(DevicePipeline, DataflowRefusesDevicePipeline) {
+  const Case c = make_case(2);
+  solver::SrhdSolver::Options opt;
+  opt.bc = mesh::BoundarySpec::all(mesh::BcType::kPeriodic);
+  opt.blocks = c.blocks;
+  opt.pipeline = solver::HostPipeline::kDevice;
+  opt.accel = zero_cost();
+  solver::SrhdSolver s(c.grid, opt);
+  s.initialize(srhd_ic);
+  parallel::ThreadPool pool(1);
+  try {
+    s.run_steps_dataflow(2, s.compute_dt(), pool);
+    FAIL() << "run_steps_dataflow accepted a device solver";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("device pipeline"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(s.steps_taken(), 0);
+  EXPECT_EQ(s.time(), 0.0);
+  EXPECT_FALSE(s.device_resident());
+}
 
 // Restricted-block construction (the distributed driver's per-rank view)
 // must flow through the device pipeline too: the custom ghost filler runs

@@ -141,26 +141,55 @@ TEST_F(ObsIntegration, PhaseTimesNestInsideStepTotal) {
   EXPECT_EQ(step->count, kSteps);
   EXPECT_LE(step->min, step->max);
 
-  // Multi-block SRMHD (a post_step that damps psi): the graph's u0 save and
-  // post_step are timed per block as "other", still inside solver.step.
-  obs::Registry::global().reset();
-  solver::SrmhdSolver::Options mopt;
-  mopt.bc = mesh::BoundarySpec::all(mesh::BcType::kOutflow);
-  mopt.blocks = {2, 2, 1};
-  solver::SrmhdSolver m(mesh::Grid::make_2d(16, 16, -1.0, 1.0, -1.0, 1.0),
-                        mopt);
-  m.initialize(problems::mhd_blast2d_ic({}));
-  m.step(0.5 * m.compute_dt());
-  const obs::Snapshot msnap = obs::Registry::global().snapshot();
-  const auto* other = msnap.find("solver.phase.other");
+  // Multi-block SRMHD (its last stage damps psi): the graph's u0 save and
+  // damping are timed per block as "other", still inside solver.step. The
+  // device pipeline runs the same graph, so its kernels and host nodes
+  // record the same phase counts, plus one device.rim_wait per E node.
+  // The registry is reset after initialize(): its ghost fill records
+  // solver.phase.exchange outside any solver.step.
+  auto run_blast = [](solver::HostPipeline pipeline) {
+    solver::SrmhdSolver::Options mopt;
+    mopt.bc = mesh::BoundarySpec::all(mesh::BcType::kOutflow);
+    mopt.blocks = {2, 2, 1};
+    mopt.pipeline = pipeline;
+    mopt.accel = {0.0, std::numeric_limits<double>::infinity(), 0.0};
+    solver::SrmhdSolver m(mesh::Grid::make_2d(16, 16, -1.0, 1.0, -1.0, 1.0),
+                          mopt);
+    m.initialize(problems::mhd_blast2d_ic({}));
+    const double dt = 0.5 * m.compute_dt();
+    obs::Registry::global().reset();
+    m.step(dt);
+    return obs::Registry::global().snapshot();
+  };
+  const std::array<const char*, 5> phases = {
+      "solver.phase.exchange", "solver.phase.rhs", "solver.phase.update",
+      "solver.phase.c2p", "solver.phase.other"};
+  const obs::Snapshot host = run_blast(solver::HostPipeline::kBatchedSimd);
+  const obs::Snapshot dev = run_blast(solver::HostPipeline::kDevice);
+  constexpr int kBlocks = 4;
+  const int stages =
+      time::num_stages(solver::SrmhdSolver::Options{}.integrator);
+  const auto* other = host.find("solver.phase.other");
   ASSERT_NE(other, nullptr);
-  EXPECT_EQ(other->count, 2 * m.num_blocks());  // u0 save + post_step
-  EXPECT_LE(msnap.value_or("solver.phase.exchange") +
-                msnap.value_or("solver.phase.rhs") +
-                msnap.value_or("solver.phase.update") +
-                msnap.value_or("solver.phase.c2p") +
-                msnap.value_or("solver.phase.other"),
-            msnap.value_or("solver.step"));
+  EXPECT_EQ(other->count, 2 * kBlocks);  // u0 save + psi damping
+  for (const obs::Snapshot* snap : {&host, &dev}) {
+    double phase_sum = 0.0;
+    for (const char* name : phases) {
+      const auto* h = host.find(name);
+      const auto* e = snap->find(name);
+      ASSERT_NE(h, nullptr) << name;
+      ASSERT_NE(e, nullptr) << name;
+      EXPECT_EQ(e->count, h->count) << name;
+      phase_sum += snap->value_or(name);
+    }
+    EXPECT_LE(phase_sum, snap->value_or("solver.step"));
+  }
+  EXPECT_EQ(host.find("solver.phase.rhs")->count, kBlocks * stages);
+  const auto* rim_wait = dev.find("device.rim_wait");
+  ASSERT_NE(rim_wait, nullptr);
+  EXPECT_EQ(rim_wait->count, kBlocks * stages);
+  const auto* host_wait = host.find("device.rim_wait");
+  EXPECT_TRUE(host_wait == nullptr || host_wait->count == 0);
 }
 
 TEST_F(ObsIntegration, RuntimeDisabledSolverRecordsNothing) {

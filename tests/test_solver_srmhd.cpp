@@ -284,9 +284,9 @@ bool same_bits(const mesh::FieldArray& a, const mesh::FieldArray& b) {
 
 class SrmhdParallelParity : public testing::TestWithParam<Mode> {};
 
-// GLM damping runs once per step in Physics::post_step; a schedule that
-// applied it twice (or skipped it) would leave every psi value off from
-// the oracle's.
+// GLM damping runs once per step, in the last stage's compute node; a
+// schedule that applied it twice (or skipped it) would leave every psi
+// value off from the oracle's.
 TEST_P(SrmhdParallelParity, MatchesPencilReferenceBitwise) {
   constexpr int kSteps = 4;
   constexpr double kDt = 0.005;
