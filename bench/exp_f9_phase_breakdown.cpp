@@ -1,27 +1,29 @@
 // Experiment F9 — per-phase cost breakdown (figure/table).
 // Where does a step's wall time go? Exchange (halos + BCs), RHS
-// (reconstruction + Riemann + flux differencing), update (RK + con2prim),
-// and bookkeeping — per reconstruction scheme and per physics system.
+// (reconstruction + Riemann + flux differencing), update (the RK
+// combination), con2prim (the batched Newton solve) and bookkeeping — per
+// reconstruction scheme and per physics system, as shares of the step and
+// as ns per zone per step.
 //
 // Expected shape: RHS dominates everywhere and grows with reconstruction
-// order (WENO5 >> PCM); SRMHD pays more in both RHS (9 variables, GLM)
-// and update (1D-W con2prim); exchange stays a few percent at this
-// surface-to-volume ratio.
+// order (WENO5 >> PCM); con2prim is the next largest phase, and SRMHD pays
+// more in both RHS (9 variables, GLM) and con2prim (1D-W solve); exchange
+// stays a few percent at this surface-to-volume ratio.
 
 #include "exp_common.hpp"
 
 namespace {
 
-/// Phase seconds for one measured run, read back from the obs registry
-/// (the update column folds in con2prim, which the solver times as its
-/// own "solver.phase.c2p" histogram).
+/// Phase seconds for one measured run, read back from the obs registry's
+/// solver.phase.* timers (disjoint: update is the RK combination alone).
 struct RegistryPhases {
   double exchange = 0.0;
   double rhs = 0.0;
   double update = 0.0;
+  double c2p = 0.0;
   double other = 0.0;
   [[nodiscard]] double total() const {
-    return exchange + rhs + update + other;
+    return exchange + rhs + update + c2p + other;
   }
 };
 
@@ -35,8 +37,8 @@ RegistryPhases measure_phases(Solver& s, int nsteps) {
   const auto snap = registry.snapshot();
   return {snap.value_or("solver.phase.exchange"),
           snap.value_or("solver.phase.rhs"),
-          snap.value_or("solver.phase.update") +
-              snap.value_or("solver.phase.c2p"),
+          snap.value_or("solver.phase.update"),
+          snap.value_or("solver.phase.c2p"),
           snap.value_or("solver.phase.other")};
 }
 
@@ -54,16 +56,23 @@ int main() {
   constexpr int kSteps = 10;
 
   Table table({"system", "recon", "exchange_pct", "rhs_pct", "update_pct",
-               "other_pct", "sec_per_step"});
-  table.set_title("F9: per-phase wall-time breakdown (96^2, 10 steps)");
+               "c2p_pct", "other_pct", "exchange_ns", "rhs_ns", "update_ns",
+               "c2p_ns", "other_ns", "sec_per_step"});
+  table.set_title(
+      "F9: per-phase wall-time breakdown (96^2, 10 steps; *_ns per zone "
+      "per step)");
 
   auto add_row = [&](const std::string& system, const std::string& rname,
-                     const auto& phases) {
+                     const RegistryPhases& phases) {
     const double total = phases.total();
-    table.add_row({system, rname, 100.0 * phases.exchange / total,
-                   100.0 * phases.rhs / total,
-                   100.0 * phases.update / total,
-                   100.0 * phases.other / total, total / kSteps});
+    const auto pct = [&](double sec) { return 100.0 * sec / total; };
+    const auto ns = [&](double sec) {
+      return 1e9 * sec / (static_cast<double>(kN * kN) * kSteps);
+    };
+    table.add_row({system, rname, pct(phases.exchange), pct(phases.rhs),
+                   pct(phases.update), pct(phases.c2p), pct(phases.other),
+                   ns(phases.exchange), ns(phases.rhs), ns(phases.update),
+                   ns(phases.c2p), ns(phases.other), total / kSteps});
   };
 
   for (const auto rm : {recon::Method::kPCM, recon::Method::kPLMMC,

@@ -10,7 +10,8 @@
 // run while the next block's halo upload is still in flight.
 //
 // There is no device step loop: FvSolver's step graph calls pull_rims
-// from its exchange nodes and advance from its compute nodes.
+// from its exchange nodes, and land_rims then advance from its compute
+// nodes.
 //
 // The kernels launched here call the same compiled core::rhs_batched_range
 // / core::update_batched / core::post_step_slabs /
@@ -53,10 +54,17 @@ class DeviceExec {
   void ensure_resident();
 
   /// Exchange node E(b, s): with `save_u0` (stage 0) enqueue u0 = cons;
-  /// then pack block b's interior rims on the compute stream, download
-  /// them on the transfer stream (event-fenced), wait (device.rim_wait)
-  /// and unpack them into the host mirror.
+  /// then pack block b's interior rims on the compute stream and download
+  /// them on the transfer stream (event-fenced). Nothing waits here, so
+  /// every block's rim download of a stage is in flight together.
   void pull_rims(int b, bool save_u0);
+
+  /// First half of compute node K(b', s) for every b' whose ghost fill
+  /// reads block b's rims (b itself and its neighbours): wait for b's
+  /// download (device.rim_wait) and unpack it into the host mirror. Only
+  /// the first call after pull_rims(b) does anything, so each block's rims
+  /// land once per stage, before the first ghost fill that reads them.
+  void land_rims(int b);
 
   /// Compute node K(b, s), once the host filled b's ghosts in the mirror:
   /// upload the ghost shells on the transfer stream, then enqueue unpack,

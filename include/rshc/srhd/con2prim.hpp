@@ -43,7 +43,7 @@ namespace detail {
 
 // The solve is split into branch-free pieces — start, evaluate, bracket,
 // step — that cons_to_prim below runs one zone at a time and the batched
-// kernel (src/srhd/kernels_impl.inc) runs eight lanes at a time. Sharing
+// kernel (src/srhd/kernels_impl.inc) runs 32 or 8 lanes at a time. Sharing
 // them is what keeps the two bitwise identical: each lane executes exactly
 // the per-zone sequence of IEEE operations. "Branch-free" means every value
 // is computed whatever the state and validity travels as a bool beside it,

@@ -42,8 +42,8 @@ namespace detail {
 
 // The solve is split into branch-free pieces — input, evaluate, start,
 // expand, bracket, step, floored — that cons_to_prim below runs one zone
-// at a time and the batched kernel (src/srmhd/kernels_impl.inc) runs eight
-// lanes at a time, as srhd::detail does for the SRHD solve. Sharing them
+// at a time and the batched kernel (src/srmhd/kernels_impl.inc) runs 32 or
+// 8 lanes at a time, as srhd::detail does for the SRHD solve. Sharing them
 // is what keeps the two bitwise identical: each lane executes exactly the
 // per-zone sequence of IEEE operations. "Branch-free" means every value is
 // computed whatever the state and validity travels as a bool beside it, so

@@ -60,6 +60,8 @@ struct DeviceExec<Physics>::Arena {
   std::size_t rim_len = 0, ghost_len = 0;
   device::Buffer rim_stage, ghost_stage;
   std::vector<double> host_rim, host_ghost;
+  device::Event rim_down;      ///< the stage's rim download (pull_rims)
+  bool rim_in_flight = false;  ///< enqueued, not yet landed (land_rims)
 
   Arena(device::Device& dev, const mesh::Block& blk, const mesh::Grid& grid)
       : shape(core::shape_of(blk, grid)), scratch(shape.max_extent()) {
@@ -156,12 +158,19 @@ void DeviceExec<Physics>::pull_rims(int b, bool save_u0) {
       },
       a->rim_len, compute_);
   dev_->wait_event(transfer_, packed);
-  const device::Event down =
-      dev_->download_async(a->rim_stage, a->host_rim, transfer_);
+  a->rim_down = dev_->download_async(a->rim_stage, a->host_rim, transfer_);
+  a->rim_in_flight = true;
+}
+
+template <typename Physics>
+void DeviceExec<Physics>::land_rims(int b) {
+  Arena* a = arenas_[static_cast<std::size_t>(b)].get();
+  if (!a->rim_in_flight) return;
   {
     RSHC_OBS_PHASE("device.rim_wait", "device", b);
-    down.wait();
+    a->rim_down.wait();
   }
+  a->rim_in_flight = false;
   auto& w = (*blocks_)[static_cast<std::size_t>(b)].prim();
   for (std::size_t f = 0; f < a->rim.size(); ++f) {
     w.unpack_box(a->rim[f], std::span<const double>(a->host_rim)

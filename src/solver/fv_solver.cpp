@@ -427,9 +427,12 @@ void FvSolver<Physics>::step(double dt) {
 // it inline, where creation order (every E node of a stage, then every K
 // node) is the execution order; run_steps_dataflow runs it on a pool.
 // Built on first use, never in the constructor.
-// The device forms: E pulls b's rims into the host mirror, K fills b's
-// ghosts there (exchange_block reads the neighbours' rims, which the
-// K(b,s) <- E(nbr,s) edges land first) and enqueues the kernels.
+// The device forms: E enqueues the download of b's rims, and K lands the
+// rims its ghost fill reads (its own and the neighbours', which the
+// K(b,s) <- E(nbr,s) edges have enqueued), fills b's ghosts in the host
+// mirror and enqueues the kernels. Inline, every E node of a stage runs
+// before the first K node, so a stage's rim downloads are all in flight
+// before the first wait.
 template <typename Physics>
 parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps) {
   const bool device = opt_.pipeline == HostPipeline::kDevice;
@@ -510,12 +513,16 @@ parallel::TaskGraph& FvSolver<Physics>::step_graph(int nsteps) {
       for (int b = 0; b < nb; ++b) {
         std::vector<NodeId> deps;
         deps.push_back(cur_e[static_cast<std::size_t>(b)]);
-        for (int nbr : neighbors_of(b)) {
+        std::vector<int> nbrs = neighbors_of(b);
+        for (int nbr : nbrs) {
           deps.push_back(cur_e[static_cast<std::size_t>(nbr)]);
         }
         cur_k[static_cast<std::size_t>(b)] = graph_->add(
-            [this, b, coeffs, step_end, overlap, device] {
+            [this, b, coeffs, step_end, overlap, device,
+             nbrs = std::move(nbrs)] {
               if (device) {
+                device_->land_rims(b);
+                for (int nbr : nbrs) device_->land_rims(nbr);
                 exchange_block(b);
                 device_->advance(b, coeffs, current_dt_, /*damp=*/step_end,
                                  block_stats_[static_cast<std::size_t>(b)]);

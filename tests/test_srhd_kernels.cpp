@@ -3,12 +3,13 @@
 // reference bit for bit (memcmp, so -0.0 and NaN bits count) on identical
 // inputs — the invariant the host pipeline, the device pipeline and the
 // per-pencil solver oracle (support/pencil_reference.hpp) rely on. The
-// simd c2p runs zones in lanes of 8 with a per-zone tail, so the oracle
-// covers every length 1-37 and the regimes that take each path: W up to
-// 100, pressure ratios 1e-8..1e8, evacuated, NaN, Inf and negative-tau
-// zones, and zones that exhaust max_iterations. The warm-start battery
-// feeds the c2p every kind of guess slab, admissible or not, over every
-// tail length 0-17.
+// c2p runs zones in lane groups of 32, then of 8, with a per-zone tail, so
+// the oracle covers every length 1-37 and the regimes that take each path:
+// W up to 100, pressure ratios 1e-8..1e8, evacuated, NaN, Inf and
+// negative-tau zones, and zones that exhaust max_iterations. The
+// warm-start battery feeds the c2p every kind of guess slab, admissible or
+// not, over every length 0-72 (8-groups, 32-groups, 32+8, 2x32+8 and the
+// tails).
 
 #include <gtest/gtest.h>
 
@@ -484,7 +485,7 @@ TEST_P(WarmStart, EveryGuessSlabMatchesPerZoneBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(TailLengths, WarmStart,
-                         ::testing::Range<std::size_t>(0, 18));
+                         ::testing::Range<std::size_t>(0, 73));
 
 TEST(Kernels, AxpbyBothVariants) {
   const std::size_t n = 100;

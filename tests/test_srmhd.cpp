@@ -368,9 +368,9 @@ void expect_c2p_matches_reference(const std::vector<Cons>& in,
 // per-interface functions bit for bit (memcmp, so -0.0 and NaN bits
 // count): the host pipeline runs the simd variants, the per-pencil test
 // oracle the per-zone functions, and the BM_*Batch micro-benchmarks time
-// the scalar variants against the simd ones. The simd c2p runs zones in
-// lanes of 8 with a per-zone tail, so the battery covers every length
-// 1-37 and the regimes that take each path.
+// the scalar variants against the simd ones. The c2p runs zones in lane
+// groups of 32, then of 8, with a per-zone tail, so the battery covers
+// every length 1-37 and the regimes that take each path.
 TEST(SrmhdBatchKernels, BothVariantsMatchPerZoneFunctionsBitwise) {
   using P = solver::SrmhdPhysics;
   constexpr int nv = P::kNumPrim;
@@ -623,7 +623,7 @@ TEST_P(SrmhdWarmStart, EveryGuessSlabMatchesPerZoneBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(TailLengths, SrmhdWarmStart,
-                         ::testing::Range<std::size_t>(0, 18));
+                         ::testing::Range<std::size_t>(0, 73));
 
 // --- analytic Newton slope -------------------------------------------------
 
